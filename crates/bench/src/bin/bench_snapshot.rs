@@ -15,7 +15,7 @@
 use std::time::Instant;
 use wfbn_bench::runner::uniform_workload;
 use wfbn_bench::serve_bench::{serve_workload, sim_serve_scaling, wall_serve_qps};
-use wfbn_core::construct::{sequential_build, sequential_build_batched, waitfree_build_batched};
+use wfbn_core::construct::{sequential_build, sequential_build_batched, waitfree_build};
 use wfbn_pram::{
     simulate_all_pairs_mi, simulate_waitfree_build, simulate_waitfree_build_batched, CostModel,
 };
@@ -132,21 +132,14 @@ fn main() {
                 );
             }));
         } else {
+            // Every parallel build runs the one block-transport body, so at
+            // P > 1 both wall series time it; only the simulated series
+            // compare the two transports.
             wall_scalar_ns.push(wall_ns_median(cfg.reps, || {
-                std::hint::black_box(
-                    wfbn_core::construct::waitfree_build(&data, p)
-                        .expect("data")
-                        .table
-                        .num_entries(),
-                );
+                std::hint::black_box(waitfree_build(&data, p).expect("data").table.num_entries());
             }));
             wall_batched_ns.push(wall_ns_median(cfg.reps, || {
-                std::hint::black_box(
-                    waitfree_build_batched(&data, p)
-                        .expect("data")
-                        .table
-                        .num_entries(),
-                );
+                std::hint::black_box(waitfree_build(&data, p).expect("data").table.num_entries());
             }));
         }
     }

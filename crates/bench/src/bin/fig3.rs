@@ -10,9 +10,9 @@
 
 use wfbn_bench::args::HarnessArgs;
 use wfbn_bench::runner::{
-    format_stage_breakdown, metrics_waitfree_report, print_host_banner, sim_striped_series,
+    format_stage_breakdown, metrics_waitfree_batched_report, print_host_banner, sim_striped_series,
     sim_waitfree_batched_series, sim_waitfree_series, uniform_workload, wall_striped_series,
-    wall_waitfree_batched_series, wall_waitfree_series,
+    wall_waitfree_batched_series,
 };
 use wfbn_bench::series::{format_markdown_table, write_csvs, Series};
 
@@ -35,7 +35,6 @@ fn main() {
             all.push(sim_striped_series(&data, &args.cores, &label));
         }
         if args.mode.wall() {
-            all.push(wall_waitfree_series(&data, &args.cores, &label, 3));
             all.push(wall_waitfree_batched_series(&data, &args.cores, &label, 3));
             all.push(wall_striped_series(&data, &args.cores, &label, 3));
         }
@@ -45,7 +44,7 @@ fn main() {
     if args.metrics {
         let p = *args.cores.iter().max().expect("non-empty cores");
         let m = *args.samples.iter().max().expect("non-empty samples");
-        let report = metrics_waitfree_report(&uniform_workload(n, m, args.seed), p);
+        let report = metrics_waitfree_batched_report(&uniform_workload(n, m, args.seed), p);
         println!("## Instrumented build (m = {m}, p = {p})\n");
         println!("{}", format_stage_breakdown(&report));
         println!("{}", report.to_json());

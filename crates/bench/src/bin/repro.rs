@@ -11,7 +11,7 @@ use wfbn_bench::args::HarnessArgs;
 use wfbn_bench::runner::{
     format_stage_breakdown, metrics_allpairs_report, print_host_banner, sim_allpairs_series,
     sim_striped_series, sim_waitfree_series, uniform_workload, wall_allpairs_series,
-    wall_striped_series, wall_waitfree_series,
+    wall_striped_series, wall_waitfree_batched_series,
 };
 use wfbn_bench::series::{format_markdown_table, write_csvs, Series};
 use wfbn_core::obs::{Counter, Stage};
@@ -50,7 +50,7 @@ fn main() {
             fig3.push(sim_striped_series(&data, &args.cores, &label));
         }
         if args.mode.wall() {
-            fig3.push(wall_waitfree_series(&data, &args.cores, &label, 3));
+            fig3.push(wall_waitfree_batched_series(&data, &args.cores, &label, 3));
             fig3.push(wall_striped_series(&data, &args.cores, &label, 3));
         }
     }
@@ -123,7 +123,7 @@ fn main() {
             fig4.push(sim_striped_series(&data, &args.cores, &label));
         }
         if args.mode.wall() {
-            fig4.push(wall_waitfree_series(&data, &args.cores, &label, 3));
+            fig4.push(wall_waitfree_batched_series(&data, &args.cores, &label, 3));
             fig4.push(wall_striped_series(&data, &args.cores, &label, 3));
         }
     }

@@ -4,10 +4,7 @@ use crate::series::Series;
 use std::time::Instant;
 use wfbn_baselines::striped::StripedLockBuilder;
 use wfbn_core::allpairs::all_pairs_mi_recorded;
-use wfbn_core::construct::{
-    waitfree_build, waitfree_build_batched, waitfree_build_batched_recorded,
-    waitfree_build_recorded,
-};
+use wfbn_core::construct::{waitfree_build, waitfree_build_recorded};
 use wfbn_core::obs::{Counter, Stage};
 use wfbn_core::{CoreMetrics, MetricsReport};
 use wfbn_data::{Dataset, Generator, Schema, UniformIndependent};
@@ -110,19 +107,6 @@ pub fn sim_allpairs_series(data: &Dataset, cores: &[usize], label: &str) -> Seri
     s
 }
 
-/// Wall-clock table-construction series (wait-free, real threads).
-pub fn wall_waitfree_series(data: &Dataset, cores: &[usize], label: &str, reps: usize) -> Series {
-    let mut s = Series::new(format!("{label} wait-free (wall)"));
-    for &p in cores {
-        let secs = wall_time_median(reps, || {
-            let built = waitfree_build(data, p).expect("non-empty data");
-            std::hint::black_box(built.table.num_entries());
-        });
-        s.points.push((p, secs));
-    }
-    s
-}
-
 /// Wall-clock table-construction series (wait-free, batched hot paths).
 pub fn wall_waitfree_batched_series(
     data: &Dataset,
@@ -133,7 +117,7 @@ pub fn wall_waitfree_batched_series(
     let mut s = Series::new(format!("{label} wait-free batched (wall)"));
     for &p in cores {
         let secs = wall_time_median(reps, || {
-            let built = waitfree_build_batched(data, p).expect("non-empty data");
+            let built = waitfree_build(data, p).expect("non-empty data");
             std::hint::black_box(built.table.num_entries());
         });
         s.points.push((p, secs));
@@ -173,19 +157,11 @@ pub fn wall_allpairs_series(data: &Dataset, cores: &[usize], label: &str, reps: 
 
 /// Runs one instrumented wait-free build on `p` real threads and returns
 /// the merged per-core metrics report (used by the `--metrics` passes of
-/// the figure binaries).
-pub fn metrics_waitfree_report(data: &Dataset, p: usize) -> MetricsReport {
-    let rec = CoreMetrics::new(p);
-    let built = waitfree_build_recorded(data, p, &rec).expect("non-empty data");
-    std::hint::black_box(built.table.num_entries());
-    rec.snapshot()
-}
-
-/// [`metrics_waitfree_report`] for the batched builder: the report includes
-/// the v2 batching counters (`blocks_flushed`, `keys_coalesced`).
+/// the figure binaries), including the batching counters
+/// (`blocks_flushed`, `keys_coalesced`).
 pub fn metrics_waitfree_batched_report(data: &Dataset, p: usize) -> MetricsReport {
     let rec = CoreMetrics::new(p);
-    let built = waitfree_build_batched_recorded(data, p, &rec).expect("non-empty data");
+    let built = waitfree_build_recorded(data, p, &rec).expect("non-empty data");
     std::hint::black_box(built.table.num_entries());
     rec.snapshot()
 }
@@ -288,7 +264,7 @@ mod tests {
     #[test]
     fn metrics_reports_balance_and_format() {
         let data = uniform_workload(8, 1_000, 3);
-        let build = metrics_waitfree_report(&data, 2);
+        let build = metrics_waitfree_batched_report(&data, 2);
         assert_eq!(build.total(Counter::RowsEncoded), 1_000);
         assert_eq!(
             build.total(Counter::LocalUpdates) + build.total(Counter::Forwarded),
@@ -308,7 +284,6 @@ mod tests {
         let data = uniform_workload(8, 500, 2);
         let cores = [1usize, 2];
         for s in [
-            wall_waitfree_series(&data, &cores, "t", 1),
             wall_waitfree_batched_series(&data, &cores, "t", 1),
             wall_striped_series(&data, &cores, "t", 1),
             wall_allpairs_series(&data, &cores, "t", 1),

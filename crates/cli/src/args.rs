@@ -23,8 +23,11 @@ impl Flags {
             if switches.contains(&name.as_str()) {
                 found_switches.push(name);
             } else {
+                // A following flag is never a value: an unknown or removed
+                // switch must not silently swallow the flag after it.
                 let value = it
                     .next()
+                    .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| format!("--{name} expects a value"))?;
                 values.insert(name, value.clone());
             }
@@ -88,6 +91,7 @@ mod tests {
     fn error_cases() {
         assert!(parse("bare", &[]).is_err());
         assert!(parse("--in", &[]).is_err());
+        assert!(parse("--batched --metrics", &["metrics"]).is_err());
         let f = parse("--threads x", &[]).unwrap();
         assert!(f.get_or::<usize>("threads", 1).is_err());
         assert!(f.require::<usize>("absent").is_err());

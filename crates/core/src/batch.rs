@@ -1,9 +1,9 @@
 //! Write-combining key routing with per-destination pre-aggregation.
 //!
-//! The scalar stage-1 loop forwards every foreign key with its own
-//! `Producer::push` — one release store and one queue-slot write per
-//! occurrence. This module is the batched router the `*_batched` builders
-//! use instead, borrowing two tricks from radix-partitioning hash joins and
+//! Forwarding every foreign key with its own `Producer::push` would cost one
+//! release store and one queue-slot write per occurrence. This module is
+//! the router every builder's stage 1 uses instead (the one worker body in
+//! `engine.rs`), borrowing two tricks from radix-partitioning hash joins and
 //! combiner-style parallel counting:
 //!
 //! * **Software write combining** — each worker keeps one small private

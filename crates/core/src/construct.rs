@@ -10,26 +10,27 @@
 //!
 //! * **Stage 1** (Algorithm 1): each core streams its contiguous chunk of
 //!   rows, encodes each row to a key, and either applies it to its own
-//!   private table (if it owns the key) or pushes it onto the wait-free SPSC
-//!   queue addressed to the owning core. Since a queue has exactly one
-//!   producer and one consumer, no operation in this stage can block or even
-//!   retry: every core makes progress on every step (*wait-freedom*).
+//!   private table (if it owns the key) or routes it onto the wait-free SPSC
+//!   queue addressed to the owning core — through a per-destination
+//!   write-combining buffer that ships `(key, count)` blocks. Since a queue
+//!   has exactly one producer and one consumer, no operation in this stage
+//!   can block or even retry: every core makes progress on every step
+//!   (*wait-freedom*).
 //! * **Barrier** — the single synchronization step.
 //! * **Stage 2** (Algorithm 2): each core drains the `P − 1` queues addressed
-//!   to it and applies the keys to its own table. Again, single-writer
-//!   everywhere.
+//!   to it block by block and applies the keys to its own table. Again,
+//!   single-writer everywhere.
 //!
 //! Total work is `O(m·n / P)` per core for encoding plus `O(m / P)` expected
 //! queue traffic — the complexities stated in the paper.
 
-use crate::batch::Combiner;
 use crate::codec::KeyCodec;
 use crate::count_table::CountTable;
+use crate::engine::{self, Job, Schedule};
 use crate::error::CoreError;
 use crate::partition::KeyPartitioner;
 use crate::potential::PotentialTable;
 use crate::stats::{BuildStats, ThreadStats};
-use wfbn_concurrent::{channel, row_chunks, Consumer, Producer, SpinBarrier};
 use wfbn_data::Dataset;
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
 
@@ -48,11 +49,6 @@ pub struct BuiltTable {
 /// configurations without a single rehash; the old 2¹⁶ cap made the first
 /// build of a large CSV pay O(log m) growth storms per core.
 const MAX_PREALLOC_ENTRIES: u64 = 1 << 22;
-
-/// Rows per encode block in the batched builders: 256 rows × 30 binary
-/// variables ≈ 15 KiB of input and 2 KiB of keys per block — L1-resident,
-/// while amortizing the per-block loop overhead to noise.
-pub(crate) const ENC_BLOCK: usize = 256;
 
 pub(crate) fn capacity_hint(m: usize, space: u64, p: usize) -> usize {
     let per_core_rows = (m / p.max(1)) as u64 + 1;
@@ -135,36 +131,6 @@ pub fn waitfree_build_recorded<R: Recorder>(
     waitfree_build_with_recorded(data, KeyPartitioner::modulo(p), rec)
 }
 
-/// Endpoints owned by one worker thread: its producers toward every other
-/// thread (`None` at its own index) and the consumers of queues addressed to
-/// it (`None` at its own index).
-struct Endpoints {
-    producers: Vec<Option<Producer<u64>>>,
-    consumers: Vec<Option<Consumer<u64>>>,
-}
-
-/// Builds the queue matrix `Q` of Algorithm 1: one SPSC channel per ordered
-/// pair `(from, to)`, `from ≠ to`, and deals the endpoints out per thread.
-fn queue_matrix(p: usize) -> Vec<Endpoints> {
-    let mut endpoints: Vec<Endpoints> = (0..p)
-        .map(|_| Endpoints {
-            producers: (0..p).map(|_| None).collect(),
-            consumers: (0..p).map(|_| None).collect(),
-        })
-        .collect();
-    for from in 0..p {
-        for to in 0..p {
-            if from == to {
-                continue;
-            }
-            let (tx, rx) = channel::<u64>();
-            endpoints[from].producers[to] = Some(tx);
-            endpoints[to].consumers[from] = Some(rx);
-        }
-    }
-    endpoints
-}
-
 /// Builds the potential table with an explicit key partitioner (the thread
 /// count is the partitioner's partition count).
 pub fn waitfree_build_with(
@@ -179,147 +145,47 @@ pub fn waitfree_build_with(
 /// Worker `t` obtains the exclusive per-core handle `rec.core(t)` at spawn
 /// and reports through it only, preserving the build's single-writer-per-word
 /// discipline for the telemetry words. Per-stage wall time (encode/route,
-/// barrier wait, drain), routing counters, the probe-length histogram, queue
-/// backlog high-water marks, segment links, and table growth events are all
-/// attributed to the core that incurred them.
+/// barrier wait, drain), routing and batching counters (`blocks_flushed` /
+/// `keys_coalesced` on the producing core), the probe-length histogram,
+/// queue backlog high-water marks, segment links, and table growth events
+/// are all attributed to the core that incurred them.
 pub fn waitfree_build_with_recorded<R: Recorder>(
     data: &Dataset,
     partitioner: KeyPartitioner,
+    rec: &R,
+) -> Result<BuiltTable, CoreError> {
+    build_with(data, partitioner, Schedule::TwoStage, rec)
+}
+
+/// The narrow (`u64`-key) build of `data` over `partitioner`'s partitions
+/// under `schedule`.
+pub(crate) fn build_with<R: Recorder>(
+    data: &Dataset,
+    partitioner: KeyPartitioner,
+    schedule: Schedule,
     rec: &R,
 ) -> Result<BuiltTable, CoreError> {
     let p = partitioner.partitions();
     if p == 0 {
         return Err(CoreError::ZeroThreads);
     }
-    if data.num_samples() == 0 {
+    let m = data.num_samples();
+    if m == 0 {
         return Err(CoreError::EmptyDataset);
     }
     let codec = KeyCodec::new(data.schema());
-    if p == 1 {
-        // Degenerate case: no queues, no barrier.
-        let mut built = sequential_build_recorded(data, rec)?;
-        if Some(&partitioner) != built.table.partitioner() {
-            let (c, _, parts) = built.table.into_parts();
-            built.table = PotentialTable::from_parts(c, partitioner, parts);
-        }
-        return Ok(built);
-    }
-
-    let m = data.num_samples();
-    let chunks = row_chunks(m, p);
-    let barrier = SpinBarrier::new(p);
-    let endpoints = queue_matrix(p);
-    let hint = capacity_hint(m, codec.state_space(), p);
-    let n = codec.num_vars();
-
-    let mut results: Vec<Option<(CountTable, ThreadStats)>> = (0..p).map(|_| None).collect();
-    #[cfg(feature = "ownership-audit")]
-    let build_audit = wfbn_concurrent::audit::BuildAudit::new();
-    std::thread::scope(|s| {
-        let codec = &codec;
-        let partitioner = &partitioner;
-        let barrier = &barrier;
-        #[cfg(feature = "ownership-audit")]
-        let build_audit = &build_audit;
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(t, mut ep)| {
-                let chunk = chunks[t];
-                std::thread::Builder::new()
-                    .name(format!("wfbn-build-{t}"))
-                    .spawn_scoped(s, move || {
-                        // Core `t` reports every table/queue write to the
-                        // shadow map; any word two cores write in one stage
-                        // aborts the build with the culprits named.
-                        #[cfg(feature = "ownership-audit")]
-                        let _audit = wfbn_concurrent::audit::enter(build_audit, t);
-                        let mut table = CountTable::with_capacity(hint);
-                        let mut stats = ThreadStats::default();
-                        let mut cr = rec.core(t);
-                        let t0 = cr.now();
-
-                        // ---- Stage 1 (Algorithm 1) ----
-                        for row in data.row_range(chunk.start, chunk.end).chunks_exact(n) {
-                            let key = codec.encode(row);
-                            stats.rows_encoded += 1;
-                            let owner = partitioner.owner(key);
-                            if owner == t {
-                                let probes = table.increment_probed(key, 1);
-                                cr.probe_len(probes);
-                                stats.local_updates += 1;
-                            } else {
-                                ep.producers[owner]
-                                    .as_mut()
-                                    .expect("producer to every foreign thread")
-                                    .push(key);
-                                stats.forwarded += 1;
-                            }
-                        }
-                        let segments_linked: u64 = ep
-                            .producers
-                            .iter()
-                            .flatten()
-                            .map(Producer::segments_linked)
-                            .sum();
-                        // Close this thread's outgoing queues. Not required
-                        // for correctness (the barrier already separates the
-                        // stages) but keeps the termination protocol uniform
-                        // with the pipelined variant.
-                        ep.producers.clear();
-                        let t1 = cr.now();
-                        cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-
-                        // ---- The single synchronization step ----
-                        barrier.wait();
-                        #[cfg(feature = "ownership-audit")]
-                        wfbn_concurrent::audit::set_stage(2);
-                        let t2 = cr.now();
-                        cr.stage_ns(Stage::Barrier, t2.saturating_sub(t1));
-
-                        // ---- Stage 2 (Algorithm 2) ----
-                        for consumer in ep.consumers.iter_mut().flatten() {
-                            // Backlog visible at drain start: after the
-                            // barrier the producer is done, so this is the
-                            // head segment's share of everything it sent.
-                            if R::ENABLED {
-                                cr.queue_depth(consumer.visible_backlog());
-                            }
-                            // wf-bound: backlog(visible) — the producer is
-                            // done (post-barrier), so each pop removes one of
-                            // the finitely many committed elements.
-                            while let Some(key) = consumer.try_pop() {
-                                debug_assert_eq!(partitioner.owner(key), t);
-                                let probes = table.increment_probed(key, 1);
-                                cr.probe_len(probes);
-                                stats.drained += 1;
-                            }
-                        }
-                        cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t2));
-                        cr.add(Counter::RowsEncoded, stats.rows_encoded);
-                        cr.add(Counter::LocalUpdates, stats.local_updates);
-                        cr.add(Counter::Forwarded, stats.forwarded);
-                        cr.add(Counter::Drained, stats.drained);
-                        cr.add(Counter::SegmentsLinked, segments_linked);
-                        cr.add(Counter::TableGrows, table.grows());
-                        stats.probes = table.probes();
-                        (table, stats)
-                    })
-                    .expect("failed to spawn build thread")
-            })
-            .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().expect("build thread panicked"));
-        }
-    });
-
-    let mut partitions = Vec::with_capacity(p);
-    let mut per_thread = Vec::with_capacity(p);
-    for r in results {
-        let (table, stats) = r.expect("every thread reports");
-        partitions.push(table);
-        per_thread.push(stats);
-    }
+    let job = Job {
+        rows: data.row_range(0, m),
+        n: codec.num_vars(),
+        encode: |rows: &[u16], keys: &mut Vec<u64>| codec.encode_rows(rows, keys),
+        owner: |key| partitioner.owner(key),
+        hint: capacity_hint(m, codec.state_space(), p),
+        schedule,
+    };
+    let (partitions, per_thread) = engine::run(&job, vec![None; p], rec)
+        .into_iter()
+        .map(|(slot, stats)| (slot.expect("every worker opens its partition"), stats))
+        .unzip();
     Ok(BuiltTable {
         table: PotentialTable::from_parts(codec, partitioner, partitions),
         stats: BuildStats { per_thread },
@@ -329,9 +195,9 @@ pub fn waitfree_build_with_recorded<R: Recorder>(
 /// Builds the potential table on a single thread through the block-granular
 /// hot paths: [`KeyCodec::encode_rows`] block encoding and
 /// [`CountTable::increment_keys`] pre-hashed block application, with the
-/// table pre-sized from `m`.
+/// table pre-sized from `m` — the `P = 1` case of every builder.
 ///
-/// Produces a table identical to [`sequential_build`]'s — the batched paths
+/// Produces a table identical to [`sequential_build`]'s — the block paths
 /// reorder no arithmetic, they only amortize per-element overhead — and is
 /// the wall-clock P=1 fast path the benchmarks compare against.
 pub fn sequential_build_batched(data: &Dataset) -> Result<BuiltTable, CoreError> {
@@ -343,324 +209,22 @@ pub fn sequential_build_batched_recorded<R: Recorder>(
     data: &Dataset,
     rec: &R,
 ) -> Result<BuiltTable, CoreError> {
-    if data.num_samples() == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    let codec = KeyCodec::new(data.schema());
-    let m = data.num_samples();
-    let n = codec.num_vars();
-    let mut table = CountTable::with_capacity(capacity_hint(m, codec.state_space(), 1));
-    let mut stats = ThreadStats::default();
-    let mut cr = rec.core(0);
-    let mut keys: Vec<u64> = Vec::with_capacity(ENC_BLOCK);
-    let t0 = cr.now();
-    for rows in data.row_range(0, m).chunks(ENC_BLOCK * n) {
-        codec.encode_rows(rows, &mut keys);
-        table.increment_keys_probed(&keys, |probes| cr.probe_len(probes));
-        stats.rows_encoded += keys.len() as u64;
-        stats.local_updates += keys.len() as u64;
-    }
-    cr.stage_ns(Stage::Encode, cr.now().saturating_sub(t0));
-    cr.add(Counter::RowsEncoded, stats.rows_encoded);
-    cr.add(Counter::LocalUpdates, stats.local_updates);
-    cr.add(Counter::TableGrows, table.grows());
-    stats.probes = table.probes();
-    Ok(BuiltTable {
-        table: PotentialTable::from_parts(codec, KeyPartitioner::modulo(1), vec![table]),
-        stats: BuildStats {
-            per_thread: vec![stats],
-        },
-    })
+    waitfree_build_recorded(data, 1, rec)
 }
 
-/// Endpoints of the batched queue matrix: elements are `(key, count)` pairs
-/// produced by the write-combining router.
-struct BatchedEndpoints {
-    producers: Vec<Option<Producer<(u64, u64)>>>,
-    consumers: Vec<Option<Consumer<(u64, u64)>>>,
-}
-
-/// [`queue_matrix`] for the batched builders.
-fn batched_queue_matrix(p: usize) -> Vec<BatchedEndpoints> {
-    let mut endpoints: Vec<BatchedEndpoints> = (0..p)
-        .map(|_| BatchedEndpoints {
-            producers: (0..p).map(|_| None).collect(),
-            consumers: (0..p).map(|_| None).collect(),
-        })
-        .collect();
-    for from in 0..p {
-        for to in 0..p {
-            if from == to {
-                continue;
-            }
-            let (tx, rx) = channel::<(u64, u64)>();
-            endpoints[from].producers[to] = Some(tx);
-            endpoints[to].consumers[from] = Some(rx);
-        }
-    }
-    endpoints
-}
-
-/// Builds the potential table with `p` threads using the block-granular
-/// variant of the two-stage primitive: stage 1 encodes row blocks with
-/// [`KeyCodec::encode_rows`] and routes foreign keys through a per-core
-/// write-combining [`Combiner`] (flushing `(key, count)` blocks with
-/// `push_block`); stage 2 drains whole blocks with `pop_block` and applies
-/// them with the pre-hashed [`CountTable::increment_block`].
-///
-/// Exactly the same single-writer discipline, barrier placement, and result
-/// as [`waitfree_build`] — equivalence tests require the resulting tables to
-/// be identical — but with every hot path amortized over blocks.
+/// Alias of [`waitfree_build`], kept for callers of the batched name: every
+/// build runs the block-granular transport.
 pub fn waitfree_build_batched(data: &Dataset, p: usize) -> Result<BuiltTable, CoreError> {
-    waitfree_build_batched_recorded(data, p, &NoopRecorder)
+    waitfree_build(data, p)
 }
 
-/// [`waitfree_build_batched`] with telemetry flowing into `rec`; the
-/// batched counters `blocks_flushed` / `keys_coalesced` are attributed to
-/// the producing core.
+/// Alias of [`waitfree_build_recorded`].
 pub fn waitfree_build_batched_recorded<R: Recorder>(
     data: &Dataset,
     p: usize,
     rec: &R,
 ) -> Result<BuiltTable, CoreError> {
-    if p == 0 {
-        return Err(CoreError::ZeroThreads);
-    }
-    waitfree_build_with_batched_recorded(data, KeyPartitioner::modulo(p), rec)
-}
-
-/// [`waitfree_build_batched_recorded`] with an explicit key partitioner
-/// (the batched analog of [`waitfree_build_with_recorded`]).
-pub fn waitfree_build_with_batched_recorded<R: Recorder>(
-    data: &Dataset,
-    partitioner: KeyPartitioner,
-    rec: &R,
-) -> Result<BuiltTable, CoreError> {
-    let p = partitioner.partitions();
-    if p == 0 {
-        return Err(CoreError::ZeroThreads);
-    }
-    if data.num_samples() == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    let codec = KeyCodec::new(data.schema());
-    if p == 1 {
-        // Degenerate case: no queues, no barrier, no router.
-        let mut built = sequential_build_batched_recorded(data, rec)?;
-        if Some(&partitioner) != built.table.partitioner() {
-            let (c, _, parts) = built.table.into_parts();
-            built.table = PotentialTable::from_parts(c, partitioner, parts);
-        }
-        return Ok(built);
-    }
-
-    let m = data.num_samples();
-    let chunks = row_chunks(m, p);
-    let barrier = SpinBarrier::new(p);
-    let endpoints = batched_queue_matrix(p);
-    let hint = capacity_hint(m, codec.state_space(), p);
-    let n = codec.num_vars();
-
-    let mut results: Vec<Option<(CountTable, ThreadStats)>> = (0..p).map(|_| None).collect();
-    #[cfg(feature = "ownership-audit")]
-    let build_audit = wfbn_concurrent::audit::BuildAudit::new();
-    std::thread::scope(|s| {
-        let codec = &codec;
-        let partitioner = &partitioner;
-        let barrier = &barrier;
-        #[cfg(feature = "ownership-audit")]
-        let build_audit = &build_audit;
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(t, mut ep)| {
-                let chunk = chunks[t];
-                std::thread::Builder::new()
-                    .name(format!("wfbn-bbuild-{t}"))
-                    .spawn_scoped(s, move || {
-                        #[cfg(feature = "ownership-audit")]
-                        let _audit = wfbn_concurrent::audit::enter(build_audit, t);
-                        let mut table = CountTable::with_capacity(hint);
-                        let mut stats = ThreadStats::default();
-                        let mut cr = rec.core(t);
-                        let mut combiner = Combiner::new(p);
-                        let mut keys: Vec<u64> = Vec::with_capacity(ENC_BLOCK);
-                        let t0 = cr.now();
-
-                        // ---- Stage 1 (Algorithm 1, block-granular) ----
-                        for rows in data.row_range(chunk.start, chunk.end).chunks(ENC_BLOCK * n) {
-                            codec.encode_rows(rows, &mut keys);
-                            stats.rows_encoded += keys.len() as u64;
-                            for &key in &keys {
-                                let owner = partitioner.owner(key);
-                                if owner == t {
-                                    let probes = table.increment_probed(key, 1);
-                                    cr.probe_len(probes);
-                                    stats.local_updates += 1;
-                                } else {
-                                    combiner.route(owner, key, &mut ep.producers);
-                                    stats.forwarded += 1;
-                                }
-                            }
-                        }
-                        combiner.flush_all(&mut ep.producers);
-                        stats.blocks_flushed = combiner.blocks_flushed();
-                        stats.keys_coalesced = combiner.keys_coalesced();
-                        let segments_linked: u64 = ep
-                            .producers
-                            .iter()
-                            .flatten()
-                            .map(Producer::segments_linked)
-                            .sum();
-                        // Close this thread's outgoing queues (after the
-                        // final flush — nothing may follow a close).
-                        ep.producers.clear();
-                        let t1 = cr.now();
-                        cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-
-                        // ---- The single synchronization step ----
-                        barrier.wait();
-                        #[cfg(feature = "ownership-audit")]
-                        wfbn_concurrent::audit::set_stage(2);
-                        let t2 = cr.now();
-                        cr.stage_ns(Stage::Barrier, t2.saturating_sub(t1));
-
-                        // ---- Stage 2 (Algorithm 2, block-granular) ----
-                        let mut block: Vec<(u64, u64)> = Vec::new();
-                        for consumer in ep.consumers.iter_mut().flatten() {
-                            if R::ENABLED {
-                                cr.queue_depth(consumer.visible_backlog());
-                            }
-                            // wf-bound: backlog(visible) — the producer is
-                            // done (post-barrier); each round takes a
-                            // committed chunk and exits on the first empty
-                            // poll.
-                            loop {
-                                block.clear();
-                                if consumer.pop_block(&mut block) == 0 {
-                                    break;
-                                }
-                                table.increment_block_probed(&block, |probes| {
-                                    cr.probe_len(probes);
-                                });
-                                for &(key, count) in &block {
-                                    debug_assert_eq!(partitioner.owner(key), t);
-                                    let _ = key;
-                                    stats.drained += count;
-                                }
-                            }
-                        }
-                        cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t2));
-                        cr.add(Counter::RowsEncoded, stats.rows_encoded);
-                        cr.add(Counter::LocalUpdates, stats.local_updates);
-                        cr.add(Counter::Forwarded, stats.forwarded);
-                        cr.add(Counter::Drained, stats.drained);
-                        cr.add(Counter::SegmentsLinked, segments_linked);
-                        cr.add(Counter::TableGrows, table.grows());
-                        cr.add(Counter::BlocksFlushed, stats.blocks_flushed);
-                        cr.add(Counter::KeysCoalesced, stats.keys_coalesced);
-                        stats.probes = table.probes();
-                        (table, stats)
-                    })
-                    .expect("failed to spawn build thread")
-            })
-            .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().expect("build thread panicked"));
-        }
-    });
-
-    let mut partitions = Vec::with_capacity(p);
-    let mut per_thread = Vec::with_capacity(p);
-    for r in results {
-        let (table, stats) = r.expect("every thread reports");
-        partitions.push(table);
-        per_thread.push(stats);
-    }
-    Ok(BuiltTable {
-        table: PotentialTable::from_parts(codec, partitioner, partitions),
-        stats: BuildStats { per_thread },
-    })
-}
-
-#[cfg(all(test, feature = "loom"))]
-mod loom_tests {
-    use super::*;
-    use std::sync::Arc;
-
-    /// Model-checks the stage-1 → barrier → stage-2 handoff.
-    ///
-    /// `waitfree_build_with` spawns scoped std threads, which the model
-    /// checker cannot schedule, so this test runs a distilled two-core
-    /// instance of the *same protocol* — the body of the worker closure:
-    /// classify-and-forward over the real [`queue_matrix`], close the
-    /// producers, cross the real [`SpinBarrier`], drain into the real
-    /// [`CountTable`] — with loom-owned threads. Every schedule within the
-    /// preemption bound must yield the same per-partition counts.
-    #[test]
-    fn two_stage_handoff_produces_exact_counts_under_every_schedule() {
-        loom::model(|| {
-            const P: usize = 2;
-            // Per-core input keys; ownership is key % 2. Core 0 forwards one
-            // key, core 1 forwards two (enough to cross a loom-sized
-            // segment boundary of the forwarding queue).
-            let inputs: [Vec<u64>; P] = [vec![0, 1, 2], vec![3, 4, 6]];
-            let barrier = Arc::new(SpinBarrier::new(P));
-            let handles: Vec<_> = queue_matrix(P)
-                .into_iter()
-                .zip(inputs)
-                .enumerate()
-                .map(|(t, (mut ep, keys))| {
-                    let barrier = Arc::clone(&barrier);
-                    loom::thread::spawn(move || {
-                        let mut table = CountTable::with_capacity(4);
-                        // ---- Stage 1 ----
-                        for key in keys {
-                            let owner = (key % P as u64) as usize;
-                            if owner == t {
-                                table.increment(key, 1);
-                            } else {
-                                ep.producers[owner]
-                                    .as_mut()
-                                    .expect("producer to every foreign thread")
-                                    .push(key);
-                            }
-                        }
-                        ep.producers.clear();
-                        // ---- The single synchronization step ----
-                        barrier.wait();
-                        // ---- Stage 2 ----
-                        for consumer in ep.consumers.iter_mut().flatten() {
-                            while let Some(key) = consumer.try_pop() {
-                                assert_eq!(
-                                    (key % P as u64) as usize,
-                                    t,
-                                    "drained a key we do not own"
-                                );
-                                table.increment(key, 1);
-                            }
-                        }
-                        table
-                    })
-                })
-                .collect();
-            let mut merged: Vec<(u64, u64)> = handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap().iter().collect::<Vec<_>>())
-                .collect();
-            merged.sort_unstable();
-            assert_eq!(
-                merged,
-                vec![(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (6, 1)],
-                "handoff lost, duplicated, or misrouted a key"
-            );
-        });
-        assert!(
-            loom::explored_interleavings() >= 2,
-            "model explored only {} schedule(s)",
-            loom::explored_interleavings()
-        );
-    }
+    waitfree_build_recorded(data, p, rec)
 }
 
 #[cfg(test)]
@@ -840,8 +404,10 @@ mod tests {
 
     #[test]
     fn scalar_build_reports_no_batch_counters() {
+        // The per-element reference build routes nothing, so it batches
+        // nothing either.
         let data = uniform_data(8, 2, 1000, 5);
-        let s = waitfree_build(&data, 4).unwrap().stats;
+        let s = sequential_build(&data).unwrap().stats;
         assert_eq!(s.total_blocks_flushed(), 0);
         assert_eq!(s.total_keys_coalesced(), 0);
     }

@@ -184,9 +184,9 @@ impl CountTable {
     }
 
     /// Grows until `additional` more *distinct* keys fit under the load
-    /// limit. Called once per block by the batched paths so the slot mask is
-    /// stable across the whole block (no mid-block rehash), and usable as
-    /// the rows-based capacity hint for streaming tables.
+    /// limit. Called once per pre-hash tile by the block paths so the slot
+    /// mask is stable across the tile, and usable as the rows-based capacity
+    /// hint for streaming tables.
     pub fn reserve(&mut self, additional: usize) {
         while (self.len + additional) * MAX_LOAD.1 > self.keys.len() * MAX_LOAD.0 {
             self.grow();
@@ -196,12 +196,14 @@ impl CountTable {
     /// Applies a block of `(key, by)` pairs, equivalent to calling
     /// [`increment`](Self::increment) for each pair in order.
     ///
-    /// The batched stage-2 fast path: capacity for the whole block is
-    /// reserved up front (one load check per block instead of one per key,
-    /// and a stable mask), then each 16-pair tile is **pre-hashed** — slot
-    /// indices computed and their cache lines prefetched — before any
-    /// probing starts, so the table's random-access misses overlap instead
-    /// of serializing.
+    /// The batched stage-2 fast path: each 16-pair tile reserves its
+    /// capacity (one load check per tile instead of one per key, and a
+    /// stable mask within the tile) and is **pre-hashed** — slot indices
+    /// computed and their cache lines prefetched — before any probing
+    /// starts, so the table's random-access misses overlap instead of
+    /// serializing. Reserving per tile rather than for the whole block
+    /// keeps a post-barrier drain, whose block holds every pair a peer
+    /// forwarded, from doubling a table that its distinct keys still fit.
     ///
     /// # Panics
     ///
@@ -243,9 +245,9 @@ impl CountTable {
         /// Pre-hash tile width: long enough to cover the prefetch latency,
         /// short enough that the tile's slots stay in the L1 miss queue.
         const TILE: usize = 16;
-        self.reserve(block.len());
         let mut slots = [0usize; TILE];
         for chunk in block.chunks(TILE) {
+            self.reserve(chunk.len());
             for (i, item) in chunk.iter().enumerate() {
                 let key = item.key();
                 assert_ne!(key, EMPTY, "key u64::MAX is reserved");

@@ -47,6 +47,7 @@ pub mod batch;
 pub mod codec;
 pub mod construct;
 pub mod count_table;
+mod engine;
 pub mod entropy;
 pub mod error;
 pub mod marginal;
@@ -70,10 +71,7 @@ pub use count_table::CountTable;
 pub use error::CoreError;
 pub use marginal::{marginalize, marginalize_recorded, MarginalTable};
 pub use partition::KeyPartitioner;
-pub use pipeline::{
-    pipelined_build, pipelined_build_batched, pipelined_build_batched_recorded,
-    pipelined_build_recorded,
-};
+pub use pipeline::{pipelined_build, pipelined_build_recorded};
 pub use potential::PotentialTable;
 pub use stats::BuildStats;
 

@@ -24,7 +24,7 @@ use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
 /// Refuse to materialize marginal tables above this many cells (2^28 cells
 /// = 2 GiB of counts); marginals in structure learning are tiny (pairs and
 /// triples), so hitting this indicates a caller bug.
-const MAX_MARGINAL_CELLS: u64 = 1 << 28;
+pub(crate) const MAX_MARGINAL_CELLS: u64 = 1 << 28;
 
 /// A dense marginal count table over an ordered set of variables.
 ///

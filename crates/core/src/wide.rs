@@ -14,8 +14,11 @@
 //! statistics) mirrors the 64-bit implementation, and the tests pin the two
 //! against each other on inputs both can represent.
 
+use crate::construct::capacity_hint;
+use crate::engine::{self, Job, Schedule};
 use crate::error::CoreError;
-use wfbn_concurrent::{channel, mix64, row_chunks, Consumer, Producer, SpinBarrier};
+use crate::marginal::MAX_MARGINAL_CELLS;
+use wfbn_concurrent::mix64;
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
 
 /// Empty-slot sentinel of the wide count table.
@@ -201,8 +204,8 @@ impl WideCountTable {
     }
 
     /// Grows until `additional` more distinct keys fit under the load limit
-    /// (mirrors `CountTable::reserve`; called once per block so the slot
-    /// mask stays stable across the whole block).
+    /// (mirrors `CountTable::reserve`; called once per tile so the slot
+    /// mask stays stable across the tile).
     pub fn reserve(&mut self, additional: usize) {
         while (self.len + additional) * 10 > self.keys.len() * 7 {
             self.grow();
@@ -211,9 +214,8 @@ impl WideCountTable {
 
     /// Applies a block of `(key, by)` pairs, equivalent to calling
     /// [`increment`](Self::increment) per pair but with the batched engine:
-    /// one reserve up front, then per 16-pair tile a pre-hash + prefetch
-    /// pass followed by the probe pass (mirrors
-    /// `CountTable::increment_block`).
+    /// per 16-pair tile a reserve, a pre-hash + prefetch pass, then the
+    /// probe pass (mirrors `CountTable::increment_block`).
     pub fn increment_block(&mut self, block: &[(u128, u64)]) {
         self.increment_block_probed(block, |_| {});
     }
@@ -222,9 +224,9 @@ impl WideCountTable {
     /// probe-count delta through `probe` (feeds the probe histogram).
     pub fn increment_block_probed(&mut self, block: &[(u128, u64)], mut probe: impl FnMut(u64)) {
         const TILE: usize = 16;
-        self.reserve(block.len());
         let mut slots = [0usize; TILE];
         for chunk in block.chunks(TILE) {
+            self.reserve(chunk.len());
             for (i, &(key, _)) in chunk.iter().enumerate() {
                 assert_ne!(key, EMPTY, "key u128::MAX is reserved");
                 let slot = (mix128(key) as usize) & self.mask;
@@ -384,10 +386,9 @@ impl WidePotentialTable {
                 });
             }
         }
-        // Same materialization guard as the narrow path (2^28 cells): the
-        // checked product also prevents a silent u64 wrap for very wide
-        // variable subsets.
-        const MAX_MARGINAL_CELLS: u64 = 1 << 28;
+        // Same materialization guard as the narrow path: the checked
+        // product also prevents a silent u64 wrap for very wide variable
+        // subsets.
         let cells = vars
             .iter()
             .try_fold(1u64, |acc, &v| {
@@ -427,7 +428,8 @@ impl WidePotentialTable {
 }
 
 /// Builds a wide potential table from a raw row-major state buffer with the
-/// two-stage wait-free primitive.
+/// two-stage wait-free primitive (the same worker body as the narrow
+/// builders, over `u128` keys and the `key % P` partitioner).
 ///
 /// `states.len()` must be a multiple of `arities.len()`.
 pub fn waitfree_build_wide(
@@ -439,8 +441,9 @@ pub fn waitfree_build_wide(
 }
 
 /// [`waitfree_build_wide`] with telemetry: per-core stage timers, row/route
-/// counters, probe-length histograms, and queue depth high-water marks, all
-/// written through single-writer per-core recorder handles.
+/// and batching counters, probe-length histograms, and queue depth
+/// high-water marks, all written through single-writer per-core recorder
+/// handles.
 pub fn waitfree_build_wide_recorded<R: Recorder>(
     states: &[u16],
     arities: &[u16],
@@ -461,284 +464,23 @@ pub fn waitfree_build_wide_recorded<R: Recorder>(
     if m == 0 {
         return Err(CoreError::EmptyDataset);
     }
-    let p = threads;
-    if p == 1 {
-        let mut cr = rec.core(0);
-        let t0 = cr.now();
-        let mut table = WideCountTable::with_capacity(m.min(1 << 16));
-        for row in states.chunks_exact(n) {
-            let probes = table.increment_probed(codec.encode(row), 1);
-            cr.probe_len(probes);
-        }
-        cr.stage_ns(Stage::Encode, cr.now().saturating_sub(t0));
-        cr.add(Counter::RowsEncoded, m as u64);
-        cr.add(Counter::LocalUpdates, m as u64);
-        cr.add(Counter::TableGrows, table.grows());
-        return Ok(WidePotentialTable {
-            codec,
-            partitions: vec![table],
-        });
-    }
-
-    let chunks = row_chunks(m, p);
-    let barrier = SpinBarrier::new(p);
-    struct Endpoints {
-        producers: Vec<Option<Producer<u128>>>,
-        consumers: Vec<Option<Consumer<u128>>>,
-    }
-    let mut endpoints: Vec<Endpoints> = (0..p)
-        .map(|_| Endpoints {
-            producers: (0..p).map(|_| None).collect(),
-            consumers: (0..p).map(|_| None).collect(),
-        })
+    let space = u64::try_from(codec.state_space()).unwrap_or(u64::MAX);
+    let job = Job {
+        rows: states,
+        n,
+        encode: |rows: &[u16], keys: &mut Vec<u128>| {
+            keys.clear();
+            keys.extend(rows.chunks_exact(n).map(|row| codec.encode(row)));
+        },
+        owner: |key| (key % threads as u128) as usize,
+        hint: capacity_hint(m, space, threads),
+        schedule: Schedule::TwoStage,
+    };
+    let partitions = engine::run(&job, vec![None; threads], rec)
+        .into_iter()
+        .map(|(slot, _)| slot.expect("every worker opens its partition"))
         .collect();
-    for from in 0..p {
-        for to in 0..p {
-            if from != to {
-                let (tx, rx) = channel::<u128>();
-                endpoints[from].producers[to] = Some(tx);
-                endpoints[to].consumers[from] = Some(rx);
-            }
-        }
-    }
-
-    let mut results: Vec<Option<WideCountTable>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let codec = &codec;
-        let barrier = &barrier;
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(t, mut ep)| {
-                let chunk = chunks[t];
-                std::thread::Builder::new()
-                    .name(format!("wfbn-wide-{t}"))
-                    .spawn_scoped(s, move || {
-                        let mut cr = rec.core(t);
-                        let t0 = cr.now();
-                        let mut local = 0u64;
-                        let mut forwarded = 0u64;
-                        let mut table = WideCountTable::with_capacity((m / p + 1).min(1 << 16));
-                        for row in states[chunk.start * n..chunk.end * n].chunks_exact(n) {
-                            let key = codec.encode(row);
-                            let owner = (key % p as u128) as usize;
-                            if owner == t {
-                                let probes = table.increment_probed(key, 1);
-                                cr.probe_len(probes);
-                                local += 1;
-                            } else {
-                                ep.producers[owner]
-                                    .as_mut()
-                                    .expect("producer exists")
-                                    .push(key);
-                                forwarded += 1;
-                            }
-                        }
-                        let segments: u64 = ep
-                            .producers
-                            .iter()
-                            .flatten()
-                            .map(Producer::segments_linked)
-                            .sum();
-                        ep.producers.clear();
-                        let t1 = cr.now();
-                        cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-                        barrier.wait();
-                        let t2 = cr.now();
-                        cr.stage_ns(Stage::Barrier, t2.saturating_sub(t1));
-                        let mut drained = 0u64;
-                        for consumer in ep.consumers.iter_mut().flatten() {
-                            if R::ENABLED {
-                                cr.queue_depth(consumer.visible_backlog());
-                            }
-                            // wf-bound: backlog(visible) — the producers are
-                            // done (post-barrier), so each pop removes one of
-                            // the finitely many committed elements.
-                            while let Some(key) = consumer.try_pop() {
-                                let probes = table.increment_probed(key, 1);
-                                cr.probe_len(probes);
-                                drained += 1;
-                            }
-                        }
-                        cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t2));
-                        cr.add(Counter::RowsEncoded, (chunk.end - chunk.start) as u64);
-                        cr.add(Counter::LocalUpdates, local);
-                        cr.add(Counter::Forwarded, forwarded);
-                        cr.add(Counter::Drained, drained);
-                        cr.add(Counter::SegmentsLinked, segments);
-                        cr.add(Counter::TableGrows, table.grows());
-                        table
-                    })
-                    .expect("failed to spawn wide build thread")
-            })
-            .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().expect("wide build thread panicked"));
-        }
-    });
-
-    Ok(WidePotentialTable {
-        codec,
-        partitions: results.into_iter().map(|r| r.expect("reported")).collect(),
-    })
-}
-
-/// [`waitfree_build_wide`] on the block-granular hot paths: foreign keys go
-/// through the write-combining [`Combiner`](crate::batch::Combiner) (flushed
-/// as `(key, count)` blocks via `push_block`), and stage 2 drains with
-/// `pop_block` + one batched table application per block. Produces exactly
-/// the same table as the scalar wide build.
-pub fn waitfree_build_wide_batched(
-    states: &[u16],
-    arities: &[u16],
-    threads: usize,
-) -> Result<WidePotentialTable, CoreError> {
-    waitfree_build_wide_batched_recorded(states, arities, threads, &NoopRecorder)
-}
-
-/// [`waitfree_build_wide_batched`] with telemetry flowing into `rec`,
-/// including the v2 batching counters ([`Counter::BlocksFlushed`],
-/// [`Counter::KeysCoalesced`]).
-pub fn waitfree_build_wide_batched_recorded<R: Recorder>(
-    states: &[u16],
-    arities: &[u16],
-    threads: usize,
-    rec: &R,
-) -> Result<WidePotentialTable, CoreError> {
-    if threads == 0 {
-        return Err(CoreError::ZeroThreads);
-    }
-    if threads == 1 {
-        // One partition: nothing crosses a queue, so there is nothing to
-        // batch — the scalar wide build is already the whole hot path.
-        return waitfree_build_wide_recorded(states, arities, threads, rec);
-    }
-    let codec = WideCodec::new(arities)?;
-    let n = codec.num_vars();
-    if states.len() % n != 0 {
-        return Err(CoreError::BadVariableSet {
-            reason: "state buffer is not a whole number of rows",
-        });
-    }
-    let m = states.len() / n;
-    if m == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    let p = threads;
-
-    let chunks = row_chunks(m, p);
-    let barrier = SpinBarrier::new(p);
-    struct Endpoints {
-        producers: Vec<Option<Producer<(u128, u64)>>>,
-        consumers: Vec<Option<Consumer<(u128, u64)>>>,
-    }
-    let mut endpoints: Vec<Endpoints> = (0..p)
-        .map(|_| Endpoints {
-            producers: (0..p).map(|_| None).collect(),
-            consumers: (0..p).map(|_| None).collect(),
-        })
-        .collect();
-    for from in 0..p {
-        for to in 0..p {
-            if from != to {
-                let (tx, rx) = channel::<(u128, u64)>();
-                endpoints[from].producers[to] = Some(tx);
-                endpoints[to].consumers[from] = Some(rx);
-            }
-        }
-    }
-
-    let mut results: Vec<Option<WideCountTable>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let codec = &codec;
-        let barrier = &barrier;
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(t, mut ep)| {
-                let chunk = chunks[t];
-                std::thread::Builder::new()
-                    .name(format!("wfbn-bwide-{t}"))
-                    .spawn_scoped(s, move || {
-                        let mut cr = rec.core(t);
-                        let t0 = cr.now();
-                        let mut local = 0u64;
-                        let mut forwarded = 0u64;
-                        let mut combiner = crate::batch::Combiner::<u128>::new(p);
-                        let mut table = WideCountTable::with_capacity((m / p + 1).min(1 << 16));
-                        for row in states[chunk.start * n..chunk.end * n].chunks_exact(n) {
-                            let key = codec.encode(row);
-                            let owner = (key % p as u128) as usize;
-                            if owner == t {
-                                let probes = table.increment_probed(key, 1);
-                                cr.probe_len(probes);
-                                local += 1;
-                            } else {
-                                combiner.route(owner, key, &mut ep.producers);
-                                forwarded += 1;
-                            }
-                        }
-                        combiner.flush_all(&mut ep.producers);
-                        let segments: u64 = ep
-                            .producers
-                            .iter()
-                            .flatten()
-                            .map(Producer::segments_linked)
-                            .sum();
-                        ep.producers.clear();
-                        let t1 = cr.now();
-                        cr.stage_ns(Stage::Encode, t1.saturating_sub(t0));
-                        barrier.wait();
-                        let t2 = cr.now();
-                        cr.stage_ns(Stage::Barrier, t2.saturating_sub(t1));
-                        let mut drained = 0u64;
-                        let mut block: Vec<(u128, u64)> = Vec::new();
-                        for consumer in ep.consumers.iter_mut().flatten() {
-                            if R::ENABLED {
-                                cr.queue_depth(consumer.visible_backlog());
-                            }
-                            // wf-bound: backlog(visible) — the producers are
-                            // done (post-barrier); each round takes a
-                            // committed chunk, exiting on the first empty
-                            // poll.
-                            loop {
-                                block.clear();
-                                if consumer.pop_block(&mut block) == 0 {
-                                    break;
-                                }
-                                table.increment_block_probed(&block, |probes| {
-                                    cr.probe_len(probes);
-                                });
-                                for &(key, count) in &block {
-                                    debug_assert_eq!((key % p as u128) as usize, t);
-                                    let _ = key;
-                                    drained += count;
-                                }
-                            }
-                        }
-                        cr.stage_ns(Stage::Drain, cr.now().saturating_sub(t2));
-                        cr.add(Counter::RowsEncoded, (chunk.end - chunk.start) as u64);
-                        cr.add(Counter::LocalUpdates, local);
-                        cr.add(Counter::Forwarded, forwarded);
-                        cr.add(Counter::Drained, drained);
-                        cr.add(Counter::SegmentsLinked, segments);
-                        cr.add(Counter::TableGrows, table.grows());
-                        cr.add(Counter::BlocksFlushed, combiner.blocks_flushed());
-                        cr.add(Counter::KeysCoalesced, combiner.keys_coalesced());
-                        table
-                    })
-                    .expect("failed to spawn wide build thread")
-            })
-            .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().expect("wide build thread panicked"));
-        }
-    });
-
-    Ok(WidePotentialTable {
-        codec,
-        partitions: results.into_iter().map(|r| r.expect("reported")).collect(),
-    })
+    Ok(WidePotentialTable { codec, partitions })
 }
 
 #[cfg(test)]
@@ -865,6 +607,7 @@ mod tests {
 
     #[test]
     fn batched_wide_build_matches_scalar_wide_build() {
+        // The block-transport build against per-row increments of one table.
         let arities = vec![3u16; 50];
         let mut states = Vec::new();
         let mut x = 7u64;
@@ -872,32 +615,19 @@ mod tests {
             x = wfbn_concurrent::mix64(x);
             states.push((x % 3) as u16);
         }
-        let reference = waitfree_build_wide(&states, &arities, 1)
-            .unwrap()
-            .to_sorted_vec();
+        let codec = WideCodec::new(&arities).unwrap();
+        let mut scalar = WideCountTable::default();
+        for row in states.chunks_exact(arities.len()) {
+            scalar.increment(codec.encode(row), 1);
+        }
+        let mut reference: Vec<(u128, u64)> = scalar.iter().collect();
+        reference.sort_unstable();
         for p in [1usize, 2, 4, 8] {
-            let b = waitfree_build_wide_batched(&states, &arities, p)
+            let b = waitfree_build_wide(&states, &arities, p)
                 .unwrap()
                 .to_sorted_vec();
             assert_eq!(b, reference, "p={p}");
         }
-    }
-
-    #[test]
-    fn batched_wide_build_errors_mirror_scalar() {
-        let arities = vec![2u16; 10];
-        assert!(matches!(
-            waitfree_build_wide_batched(&[], &arities, 2),
-            Err(CoreError::EmptyDataset)
-        ));
-        assert!(matches!(
-            waitfree_build_wide_batched(&[0, 1, 0], &arities, 2),
-            Err(CoreError::BadVariableSet { .. })
-        ));
-        assert!(matches!(
-            waitfree_build_wide_batched(&[0; 10], &arities, 0),
-            Err(CoreError::ZeroThreads)
-        ));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Batched-vs-scalar equivalence: the block-granular hot paths (write-
-//! combining routing, `push_block`/`pop_block` transfer, combiner
-//! pre-aggregation, batched table application) are pure performance
-//! transformations — on every input, at every thread count, they must
-//! produce *byte-identical* tables and MI surfaces indistinguishable to
-//! 1e-12 from the scalar builders.
+//! Batched-vs-scalar equivalence: the block-granular hot paths every builder
+//! runs (write-combining routing, `push_block`/`pop_block` transfer,
+//! combiner pre-aggregation, batched table application) are pure
+//! performance transformations — on every input, at every thread count,
+//! they must produce *byte-identical* tables and MI surfaces
+//! indistinguishable to 1e-12 from the per-element reference
+//! (`sequential_build`, or per-row increments for the wide tables).
 //!
 //! Deterministic cases pin the seams the property tests may miss: block
 //! sizes straddling the SPSC segment capacity (`SEG_CAP − 1`, `SEG_CAP`,
@@ -13,17 +14,15 @@
 use proptest::prelude::*;
 use wfbn_concurrent::spsc::{channel, SEG_CAP};
 use wfbn_core::allpairs::all_pairs_mi;
-use wfbn_core::construct::{
-    sequential_build, sequential_build_batched, waitfree_build, waitfree_build_batched,
-};
-use wfbn_core::pipeline::pipelined_build_batched;
+use wfbn_core::construct::{sequential_build, sequential_build_batched, waitfree_build};
+use wfbn_core::pipeline::pipelined_build;
 use wfbn_core::stream::StreamingBuilder;
-use wfbn_core::wide::{waitfree_build_wide, waitfree_build_wide_batched};
+use wfbn_core::wide::{waitfree_build_wide, WideCodec, WideCountTable};
 use wfbn_core::CountTable;
 use wfbn_data::{Dataset, Generator, Schema, UniformIndependent, ZipfIndependent};
 
-/// The acceptance grid from the issue: every batched path must agree with
-/// its scalar twin at each of these thread counts.
+/// The thread grid: every builder must agree with the per-element
+/// reference at each of these thread counts.
 const CORES: [usize; 4] = [1, 2, 4, 8];
 
 /// A random schema of 1–6 variables with arities 2–5.
@@ -68,21 +67,21 @@ proptest! {
             "sequential batched"
         );
         prop_assert_eq!(
-            waitfree_build_batched(&data, p).unwrap().table.to_sorted_vec(),
+            waitfree_build(&data, p).unwrap().table.to_sorted_vec(),
             reference.clone(),
-            "two-stage batched at p={}", p
+            "two-stage at p={}", p
         );
         prop_assert_eq!(
-            pipelined_build_batched(&data, p).unwrap().table.to_sorted_vec(),
+            pipelined_build(&data, p).unwrap().table.to_sorted_vec(),
             reference.clone(),
-            "pipelined batched at p={}", p
+            "pipelined at p={}", p
         );
         let mut stream = StreamingBuilder::new(data.schema(), p).unwrap();
-        stream.absorb_batched(&data).unwrap();
+        stream.absorb(&data).unwrap();
         prop_assert_eq!(
             stream.finish().unwrap().table.to_sorted_vec(),
             reference,
-            "streaming batched at p={}", p
+            "streaming at p={}", p
         );
     }
 
@@ -92,8 +91,8 @@ proptest! {
         pi in 0usize..CORES.len(),
     ) {
         let p = CORES[pi];
-        let scalar = waitfree_build(&data, p).unwrap().table;
-        let batched = waitfree_build_batched(&data, p).unwrap().table;
+        let scalar = sequential_build(&data).unwrap().table;
+        let batched = waitfree_build(&data, p).unwrap().table;
         let mi_scalar = all_pairs_mi(&scalar, 1);
         let mi_batched = all_pairs_mi(&batched, 1);
         prop_assert!(
@@ -189,12 +188,12 @@ fn builds_agree_at_row_counts_straddling_seg_cap() {
         let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
         for p in CORES {
             assert_eq!(
-                waitfree_build_batched(&data, p).unwrap().table.to_sorted_vec(),
+                waitfree_build(&data, p).unwrap().table.to_sorted_vec(),
                 reference,
                 "two-stage m={m} p={p}"
             );
             assert_eq!(
-                pipelined_build_batched(&data, p).unwrap().table.to_sorted_vec(),
+                pipelined_build(&data, p).unwrap().table.to_sorted_vec(),
                 reference,
                 "pipelined m={m} p={p}"
             );
@@ -214,15 +213,15 @@ fn batched_builds_survive_heavy_skew() {
     let reference = sequential_build(&data).unwrap().table.to_sorted_vec();
     for p in CORES {
         assert_eq!(
-            waitfree_build_batched(&data, p).unwrap().table.to_sorted_vec(),
+            waitfree_build(&data, p).unwrap().table.to_sorted_vec(),
             reference,
             "p={p}"
         );
     }
 }
 
-/// The 128-bit wide build's batched twin must agree with the scalar wide
-/// build across the same thread grid, beyond the u64 key space.
+/// The 128-bit wide build must agree with per-row increments of one wide
+/// table across the same thread grid, beyond the u64 key space.
 #[test]
 fn wide_batched_matches_wide_scalar() {
     let n = 80;
@@ -234,11 +233,15 @@ fn wide_batched_matches_wide_scalar() {
         states.push((x & 1) as u16);
     }
     let arities = vec![2u16; n];
-    let reference = waitfree_build_wide(&states, &arities, 1)
-        .unwrap()
-        .to_sorted_vec();
+    let codec = WideCodec::new(&arities).unwrap();
+    let mut scalar = WideCountTable::default();
+    for row in states.chunks_exact(n) {
+        scalar.increment(codec.encode(row), 1);
+    }
+    let mut reference: Vec<(u128, u64)> = scalar.iter().collect();
+    reference.sort_unstable();
     for p in CORES {
-        let batched = waitfree_build_wide_batched(&states, &arities, p).unwrap();
+        let batched = waitfree_build_wide(&states, &arities, p).unwrap();
         assert_eq!(batched.to_sorted_vec(), reference, "p={p}");
         assert_eq!(batched.total_count(), m as u64);
     }
