@@ -1,6 +1,7 @@
 //! Shared measurement drivers used by the figure binaries.
 
 use crate::series::Series;
+use std::sync::Arc;
 use std::time::Instant;
 use wfbn_baselines::striped::StripedLockBuilder;
 use wfbn_core::allpairs::all_pairs_mi_recorded;
@@ -12,6 +13,7 @@ use wfbn_pram::{
     simulate_all_pairs_mi, simulate_striped_build, simulate_waitfree_build,
     simulate_waitfree_build_batched, CostModel,
 };
+use wfbn_serve::QueryReader;
 
 /// Measurement mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,16 +169,24 @@ pub fn metrics_waitfree_batched_report(data: &Dataset, p: usize) -> MetricsRepor
 }
 
 /// Runs one instrumented wait-free build followed by instrumented all-pairs
-/// MI on `p` real threads; the returned report covers both phases (the MI
-/// scan shows up under the `marginalize` stage and the `pairs_scanned` /
-/// `entries_scanned` counters).
+/// MI on `p` real threads, then answers one query batch through a serve
+/// reader over the built table on core `p`. The returned report covers all
+/// three phases: the MI scan shows up under the `marginalize` stage and the
+/// `pairs_scanned` / `entries_scanned` counters, the batch under
+/// `query_serve` and `queries_served`.
 pub fn metrics_allpairs_report(data: &Dataset, p: usize) -> MetricsReport {
-    let rec = CoreMetrics::new(p);
-    let table = waitfree_build_recorded(data, p, &rec)
+    let rec = Arc::new(CoreMetrics::new(p + 1));
+    let table = waitfree_build_recorded(data, p, &*rec)
         .expect("non-empty data")
         .table;
-    let mi = all_pairs_mi_recorded(&table, p, &rec);
+    let mi = all_pairs_mi_recorded(&table, p, &*rec);
     std::hint::black_box(mi.num_vars());
+    let mut reader = QueryReader::fixed(table, Arc::clone(&rec), p);
+    let scope: Vec<usize> = (0..data.num_vars().min(2)).collect();
+    let (_, answers) = reader
+        .answer_batch(&[&scope])
+        .expect("a scope of the table's own variables");
+    std::hint::black_box(answers.len());
     rec.snapshot()
 }
 
@@ -272,6 +282,9 @@ mod tests {
         );
         let full = metrics_allpairs_report(&data, 2);
         assert!(full.total(Counter::PairsScanned) > 0);
+        assert_eq!(full.total(Counter::QueriesServed), 1);
+        assert!(full.stage_total_ns(Stage::Marginal) > 0);
+        assert!(full.stage_total_ns(Stage::Query) > 0);
         let text = format_stage_breakdown(&full);
         for stage in Stage::ALL {
             assert!(text.contains(stage.name()), "{text}");

@@ -14,6 +14,10 @@
 //!    connected without it, temporarily remove it and retry separation;
 //!    independent pairs lose their edge permanently.
 //!
+//! The potential table is decoded into state columns once per learn
+//! ([`DecodedTable`]); drafting's all-pairs MI and every CI test of phases
+//! 2–3 gather their marginals from that one view.
+//!
 //! A final orientation pass ([`orient`]) — v-structure detection from the
 //! recorded separating sets plus Meek's rules — upgrades the skeleton to a
 //! pattern (CPDAG). Cheng et al. orient edges similarly; the exact
@@ -36,8 +40,9 @@ use crate::graph::Ug;
 use crate::pdag::PDag;
 use core::fmt;
 use std::collections::HashMap;
-use wfbn_core::allpairs::{all_pairs_mi, MiMatrix};
+use wfbn_core::allpairs::{all_pairs_mi_decoded, MiMatrix};
 use wfbn_core::construct::waitfree_build;
+use wfbn_core::decoded::DecodedTable;
 use wfbn_core::error::CoreError;
 use wfbn_core::potential::PotentialTable;
 use wfbn_data::Dataset;
@@ -105,8 +110,9 @@ pub struct ChengLearner {
     pub epsilon: f64,
     /// CI decision rule for thickening/thinning.
     pub ci_test: CiTest,
-    /// Worker threads for table construction, marginalization and all-pairs
-    /// MI.
+    /// Worker threads for table construction and all-pairs MI. CI tests
+    /// run on the calling thread: each gathers its joint from the decoded
+    /// table faster than a fork-join across threads would cost.
     pub threads: usize,
     /// Largest conditioning-set size tried during separation search.
     pub max_condition_size: usize,
@@ -139,8 +145,11 @@ impl ChengLearner {
         let mut stats = PhaseStats::default();
         let mut sepsets: SepSets = HashMap::new();
 
+        // One decode serves drafting and every CI test after it.
+        let view = DecodedTable::new(table);
+
         // ---- Phase 1: drafting (parallel all-pairs MI). ----
-        let mi = all_pairs_mi(table, self.threads);
+        let mi = all_pairs_mi_decoded(&view, self.threads);
         let (mut graph, deferred) = draft(&mi, self.epsilon);
         stats.draft_edges = graph.num_edges();
         stats.deferred_pairs = deferred.len();
@@ -155,9 +164,8 @@ impl ChengLearner {
         let added = thicken(
             &mut graph,
             &deferred,
-            table,
+            &view,
             self.ci_test,
-            self.threads,
             self.max_condition_size,
             &mut sepsets,
             &mut stats.ci_tests,
@@ -167,9 +175,8 @@ impl ChengLearner {
         // ---- Phase 3: thinning. ----
         let removed = thin(
             &mut graph,
-            table,
+            &view,
             self.ci_test,
-            self.threads,
             self.max_condition_size,
             &mut sepsets,
             &mut stats.ci_tests,

@@ -14,21 +14,19 @@
 use crate::cheng::SepSets;
 use crate::ci::CiTest;
 use crate::graph::Ug;
-use wfbn_core::potential::PotentialTable;
+use wfbn_core::decoded::DecodedTable;
 
 /// Searches for a separating set for `(x, y)` in `graph`.
 ///
 /// Returns `Some(z)` with the first set found that makes the pair
 /// independent under `test`, or `None` if every tried set leaves them
 /// dependent. Increments `*ci_tests` once per executed test.
-#[allow(clippy::too_many_arguments)]
 pub fn try_separate(
     graph: &Ug,
-    table: &PotentialTable,
+    view: &DecodedTable,
     x: usize,
     y: usize,
     test: CiTest,
-    threads: usize,
     max_condition_size: usize,
     ci_tests: &mut usize,
 ) -> Option<Vec<usize>> {
@@ -47,18 +45,7 @@ pub fn try_separate(
     let cap = max_condition_size.min(cand.len());
     let mut subset = Vec::new();
     for size in 0..=cap {
-        if independent_given_some(
-            table,
-            x,
-            y,
-            &cand,
-            size,
-            0,
-            &mut subset,
-            test,
-            threads,
-            ci_tests,
-        ) {
+        if independent_given_some(view, x, y, &cand, size, 0, &mut subset, test, ci_tests) {
             return Some(subset);
         }
     }
@@ -66,7 +53,7 @@ pub fn try_separate(
     if cand.len() > max_condition_size {
         *ci_tests += 1;
         let out = test
-            .run(table, x, y, &cand, threads)
+            .run(view, x, y, &cand)
             .expect("valid variables by construction");
         if !out.dependent {
             return Some(cand);
@@ -79,7 +66,7 @@ pub fn try_separate(
 /// (leaving the subset in `acc`) as soon as one separates the pair.
 #[allow(clippy::too_many_arguments)]
 fn independent_given_some(
-    table: &PotentialTable,
+    view: &DecodedTable,
     x: usize,
     y: usize,
     cand: &[usize],
@@ -87,30 +74,18 @@ fn independent_given_some(
     from: usize,
     acc: &mut Vec<usize>,
     test: CiTest,
-    threads: usize,
     ci_tests: &mut usize,
 ) -> bool {
     if size == 0 {
         *ci_tests += 1;
         let out = test
-            .run(table, x, y, acc, threads)
+            .run(view, x, y, acc)
             .expect("valid variables by construction");
         return !out.dependent;
     }
     for i in from..cand.len() {
         acc.push(cand[i]);
-        if independent_given_some(
-            table,
-            x,
-            y,
-            cand,
-            size - 1,
-            i + 1,
-            acc,
-            test,
-            threads,
-            ci_tests,
-        ) {
+        if independent_given_some(view, x, y, cand, size - 1, i + 1, acc, test, ci_tests) {
             return true;
         }
         acc.pop();
@@ -136,16 +111,15 @@ mod tests {
         let data = CorrelatedChain::new(schema, 0.85)
             .unwrap()
             .generate(50_000, 7);
-        let table = waitfree_build(&data, 2).unwrap().table;
+        let view = DecodedTable::new(&waitfree_build(&data, 2).unwrap().table);
         let graph = Ug::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         let mut tests = 0;
         let sep = try_separate(
             &graph,
-            &table,
+            &view,
             0,
             2,
             CiTest::GTest { alpha: 0.01 },
-            2,
             3,
             &mut tests,
         );
@@ -159,16 +133,15 @@ mod tests {
         let data = CorrelatedChain::new(schema, 0.9)
             .unwrap()
             .generate(50_000, 8);
-        let table = waitfree_build(&data, 2).unwrap().table;
+        let view = DecodedTable::new(&waitfree_build(&data, 2).unwrap().table);
         let graph = Ug::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
         let mut tests = 0;
         let sep = try_separate(
             &graph,
-            &table,
+            &view,
             0,
             1,
             CiTest::GTest { alpha: 0.01 },
-            2,
             3,
             &mut tests,
         );

@@ -10,32 +10,21 @@ use crate::cheng::separate::{record_sepset, try_separate};
 use crate::cheng::SepSets;
 use crate::ci::CiTest;
 use crate::graph::Ug;
-use wfbn_core::potential::PotentialTable;
+use wfbn_core::decoded::DecodedTable;
 
 /// Runs the thickening phase; returns the number of edges added.
-#[allow(clippy::too_many_arguments)]
 pub fn thicken(
     graph: &mut Ug,
     deferred: &[(usize, usize)],
-    table: &PotentialTable,
+    view: &DecodedTable,
     test: CiTest,
-    threads: usize,
     max_condition_size: usize,
     sepsets: &mut SepSets,
     ci_tests: &mut usize,
 ) -> usize {
     let mut added = 0;
     for &(x, y) in deferred {
-        match try_separate(
-            graph,
-            table,
-            x,
-            y,
-            test,
-            threads,
-            max_condition_size,
-            ci_tests,
-        ) {
+        match try_separate(graph, view, x, y, test, max_condition_size, ci_tests) {
             Some(z) => record_sepset(sepsets, x, y, z),
             None => {
                 graph
@@ -62,7 +51,7 @@ mod tests {
         let data = CorrelatedChain::new(schema, 0.85)
             .unwrap()
             .generate(60_000, 13);
-        let table = waitfree_build(&data, 2).unwrap().table;
+        let view = DecodedTable::new(&waitfree_build(&data, 2).unwrap().table);
         let mut graph = Ug::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let deferred = vec![(0usize, 2usize), (1, 3), (0, 3)];
         let mut sepsets = SepSets::new();
@@ -70,9 +59,8 @@ mod tests {
         let added = thicken(
             &mut graph,
             &deferred,
-            &table,
+            &view,
             CiTest::GTest { alpha: 0.01 },
-            2,
             3,
             &mut sepsets,
             &mut tests,
@@ -108,7 +96,7 @@ mod tests {
         }
         let refs: Vec<&[u16]> = rows.iter().map(|r| &r[..]).collect();
         let data = Dataset::from_rows(schema, &refs).unwrap();
-        let table = waitfree_build(&data, 2).unwrap().table;
+        let view = DecodedTable::new(&waitfree_build(&data, 2).unwrap().table);
         // Draft graph: chain through the middle only.
         let mut graph = Ug::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         let mut sepsets = SepSets::new();
@@ -116,9 +104,8 @@ mod tests {
         let added = thicken(
             &mut graph,
             &[(0, 2)],
-            &table,
+            &view,
             CiTest::GTest { alpha: 0.01 },
-            2,
             3,
             &mut sepsets,
             &mut tests,

@@ -13,15 +13,13 @@ use crate::cheng::separate::{record_sepset, try_separate};
 use crate::cheng::SepSets;
 use crate::ci::CiTest;
 use crate::graph::Ug;
-use wfbn_core::potential::PotentialTable;
+use wfbn_core::decoded::DecodedTable;
 
 /// Runs the thinning phase; returns the number of edges removed.
-#[allow(clippy::too_many_arguments)]
 pub fn thin(
     graph: &mut Ug,
-    table: &PotentialTable,
+    view: &DecodedTable,
     test: CiTest,
-    threads: usize,
     max_condition_size: usize,
     sepsets: &mut SepSets,
     ci_tests: &mut usize,
@@ -36,16 +34,7 @@ pub fn thin(
                 graph.add_edge(x, y).expect("restoring a removed edge");
                 continue;
             }
-            match try_separate(
-                graph,
-                table,
-                x,
-                y,
-                test,
-                threads,
-                max_condition_size,
-                ci_tests,
-            ) {
+            match try_separate(graph, view, x, y, test, max_condition_size, ci_tests) {
                 Some(z) => {
                     record_sepset(sepsets, x, y, z);
                     removed_this_round += 1;
@@ -76,15 +65,14 @@ mod tests {
         let data = CorrelatedChain::new(schema, 0.85)
             .unwrap()
             .generate(60_000, 21);
-        let table = waitfree_build(&data, 2).unwrap().table;
+        let view = DecodedTable::new(&waitfree_build(&data, 2).unwrap().table);
         let mut graph = Ug::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
         let mut sepsets = SepSets::new();
         let mut tests = 0;
         let removed = thin(
             &mut graph,
-            &table,
+            &view,
             CiTest::GTest { alpha: 0.01 },
-            2,
             3,
             &mut sepsets,
             &mut tests,
@@ -101,15 +89,14 @@ mod tests {
         let data = CorrelatedChain::new(schema, 0.85)
             .unwrap()
             .generate(60_000, 22);
-        let table = waitfree_build(&data, 2).unwrap().table;
+        let view = DecodedTable::new(&waitfree_build(&data, 2).unwrap().table);
         let mut graph = Ug::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let mut sepsets = SepSets::new();
         let mut tests = 0;
         let removed = thin(
             &mut graph,
-            &table,
+            &view,
             CiTest::GTest { alpha: 0.01 },
-            2,
             3,
             &mut sepsets,
             &mut tests,

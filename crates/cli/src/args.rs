@@ -9,9 +9,10 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parses the argument list. Flags whose name appears in `switches`
-    /// take no value; all others take exactly one.
-    pub fn parse(args: &[String], switches: &[&str]) -> Result<Self, String> {
+    /// Parses the argument list against one command's flags: a name in
+    /// `valued` takes exactly one value, a name in `switches` takes none,
+    /// and any other `--name` is an error.
+    pub fn parse(args: &[String], valued: &[&str], switches: &[&str]) -> Result<Self, String> {
         let mut values = HashMap::new();
         let mut found_switches = Vec::new();
         let mut it = args.iter();
@@ -22,6 +23,8 @@ impl Flags {
             let name = flag.trim_start_matches("--").to_string();
             if switches.contains(&name.as_str()) {
                 found_switches.push(name);
+            } else if !valued.contains(&name.as_str()) {
+                return Err(format!("unknown flag --{name}"));
             } else {
                 // A following flag is never a value: an unknown or removed
                 // switch must not silently swallow the flag after it.
@@ -72,9 +75,11 @@ impl Flags {
 mod tests {
     use super::*;
 
+    const VALUED: &[&str] = &["in", "threads"];
+
     fn parse(s: &str, switches: &[&str]) -> Result<Flags, String> {
         let args: Vec<String> = s.split_whitespace().map(String::from).collect();
-        Flags::parse(&args, switches)
+        Flags::parse(&args, VALUED, switches)
     }
 
     #[test]
@@ -91,9 +96,17 @@ mod tests {
     fn error_cases() {
         assert!(parse("bare", &[]).is_err());
         assert!(parse("--in", &[]).is_err());
-        assert!(parse("--batched --metrics", &["metrics"]).is_err());
+        assert!(parse("--in --metrics", &["metrics"]).is_err());
         let f = parse("--threads x", &[]).unwrap();
         assert!(f.get_or::<usize>("threads", 1).is_err());
         assert!(f.require::<usize>("absent").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_with_or_without_a_value() {
+        let err = parse("--in f --batched 1", &["metrics"]).err().unwrap();
+        assert!(err.contains("unknown flag --batched"), "{err}");
+        assert!(parse("--batched --in f", &["metrics"]).is_err());
+        assert!(parse("--in f --metrics", &["metrics"]).is_ok());
     }
 }

@@ -28,9 +28,16 @@ use wfbn_workload::{
     WorkloadSpec, FAIRNESS_BOUND, SKEW_P99_MULTIPLE,
 };
 
+/// The flags that take a value.
+pub(crate) const VALUED: &[&str] = &[
+    "shards", "threads", "scenario", "rows", "batches", "queries", "readers", "seed",
+];
+/// The flags that take none.
+pub(crate) const SWITCHES: &[&str] = &["negative-control"];
+
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["negative-control"])?;
+    let flags = Flags::parse(args, VALUED, SWITCHES)?;
     let w = |e: std::io::Error| e.to_string();
 
     let shards: usize = flags.get_or("shards", 2)?;

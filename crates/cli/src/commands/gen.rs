@@ -25,9 +25,14 @@ fn parse_pair<A: std::str::FromStr, B: std::str::FromStr>(
     ))
 }
 
+/// The flags that take a value.
+pub(crate) const VALUED: &[&str] = &["net", "uniform", "chain", "zipf", "samples", "seed", "out"];
+/// The flags that take none.
+pub(crate) const SWITCHES: &[&str] = &[];
+
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, VALUED, SWITCHES)?;
     let samples: usize = flags.get_or("samples", 10_000)?;
     let seed: u64 = flags.get_or("seed", 42)?;
 

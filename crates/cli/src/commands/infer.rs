@@ -27,9 +27,14 @@ fn parse_evidence(spec: &str) -> Result<Vec<(usize, u16)>, String> {
         .collect()
 }
 
+/// The flags that take a value.
+pub(crate) const VALUED: &[&str] = &["net", "target", "evidence"];
+/// The flags that take none.
+pub(crate) const SWITCHES: &[&str] = &[];
+
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, VALUED, SWITCHES)?;
     let net = network_by_name(&flags.require::<String>("net")?)?;
     let target: usize = flags.require("target")?;
     let evidence = parse_evidence(flags.get("evidence").unwrap_or(""))?;

@@ -14,9 +14,14 @@ use wfbn_core::allpairs::all_pairs_mi;
 use wfbn_core::construct::waitfree_build;
 use wfbn_data::Dataset;
 
+/// The flags that take a value.
+pub(crate) const VALUED: &[&str] = &["in", "method", "threads", "epsilon", "alpha"];
+/// The flags that take none.
+pub(crate) const SWITCHES: &[&str] = &["fit"];
+
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["fit"])?;
+    let flags = Flags::parse(args, VALUED, SWITCHES)?;
     let path: String = flags.require("in")?;
     let threads: usize = flags.get_or("threads", 4)?;
     let epsilon: f64 = flags.get_or("epsilon", 0.005)?;

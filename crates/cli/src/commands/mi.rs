@@ -8,9 +8,14 @@ use wfbn_core::construct::{waitfree_build, waitfree_build_recorded};
 use wfbn_core::entropy::nats_to_bits;
 use wfbn_core::CoreMetrics;
 
+/// The flags that take a value.
+pub(crate) const VALUED: &[&str] = &["in", "threads", "top"];
+/// The flags that take none.
+pub(crate) const SWITCHES: &[&str] = &["bits", "metrics"];
+
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["bits", "metrics"])?;
+    let flags = Flags::parse(args, VALUED, SWITCHES)?;
     let path: String = flags.require("in")?;
     let threads: usize = flags.get_or("threads", 4)?;
     let top: usize = flags.get_or("top", 20)?;

@@ -19,9 +19,14 @@ use wfbn_core::{CoreMetrics, Recorder};
 use wfbn_data::{Dataset, Schema};
 use wfbn_serve::{serve_lines, serve_tcp, Engine, EngineConfig, LoopControl, QueryReader, Session};
 
+/// The flags that take a value.
+pub(crate) const VALUED: &[&str] = &["in", "threads", "batch", "script", "listen"];
+/// The flags that take none.
+pub(crate) const SWITCHES: &[&str] = &["metrics"];
+
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["metrics"])?;
+    let flags = Flags::parse(args, VALUED, SWITCHES)?;
     let path: String = flags.require("in")?;
     let threads: usize = flags.get_or("threads", 1)?;
     let batch_rows: usize = flags.get_or("batch", 4096)?;

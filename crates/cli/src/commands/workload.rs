@@ -22,9 +22,16 @@ use wfbn_workload::{
     FAIRNESS_BOUND,
 };
 
+/// The flags that take a value.
+pub(crate) const VALUED: &[&str] = &[
+    "scenario", "out", "threads", "shards", "rows", "batches", "queries", "readers", "seed",
+];
+/// The flags that take none.
+pub(crate) const SWITCHES: &[&str] = &["list", "emit", "run"];
+
 /// Runs the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = Flags::parse(args, &["list", "emit", "run"])?;
+    let flags = Flags::parse(args, VALUED, SWITCHES)?;
     let w = |e: std::io::Error| e.to_string();
 
     if flags.has_switch("list") {

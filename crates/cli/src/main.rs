@@ -104,6 +104,55 @@ mod tests {
     }
 
     #[test]
+    fn documented_flags_are_exactly_the_accepted_ones() {
+        use crate::args::Flags;
+        type Spec = (&'static str, &'static [&'static str], &'static [&'static str]);
+        let specs: [Spec; 8] = [
+            ("gen", commands::gen::VALUED, commands::gen::SWITCHES),
+            ("build", commands::build::VALUED, commands::build::SWITCHES),
+            ("mi", commands::mi::VALUED, commands::mi::SWITCHES),
+            ("learn", commands::learn::VALUED, commands::learn::SWITCHES),
+            ("infer", commands::infer::VALUED, commands::infer::SWITCHES),
+            ("serve", commands::serve::VALUED, commands::serve::SWITCHES),
+            ("workload", commands::workload::VALUED, commands::workload::SWITCHES),
+            ("cluster", commands::cluster::VALUED, commands::cluster::SWITCHES),
+        ];
+        // A usage block starts at a line indented by exactly two spaces and
+        // runs through its deeper-indented continuation lines.
+        let mut blocks: Vec<(&str, String)> = Vec::new();
+        for line in USAGE.lines() {
+            match line.strip_prefix("  ") {
+                Some(rest) if !rest.starts_with(' ') => {
+                    let cmd = rest.split_whitespace().next().unwrap_or_default();
+                    blocks.push((cmd, line.to_string()));
+                }
+                Some(_) if !blocks.is_empty() => blocks.last_mut().unwrap().1.push_str(line),
+                _ => {}
+            }
+        }
+        for (cmd, valued, switches) in specs {
+            let doc = &blocks.iter().find(|(c, _)| *c == cmd).expect(cmd).1;
+            let documented: Vec<&str> = doc
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|w| w.strip_prefix("--"))
+                .collect();
+            let mut argv = Vec::new();
+            for name in &documented {
+                argv.push(format!("--{name}"));
+                if valued.contains(name) {
+                    argv.push("v".to_string());
+                }
+            }
+            if let Err(e) = Flags::parse(&argv, valued, switches) {
+                panic!("{cmd}: documented flags do not parse: {e}");
+            }
+            for name in valued.iter().chain(switches) {
+                assert!(documented.contains(name), "{cmd}: --{name} is undocumented");
+            }
+        }
+    }
+
+    #[test]
     fn full_pipeline_through_a_temp_file() {
         let dir = std::env::temp_dir().join("wfbn_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -202,5 +251,7 @@ mod tests {
         ])
         .unwrap_err()
         .contains("evidence"));
+        let err = run_to_string(&["build", "--in", "x.csv", "--batched", "1"]).unwrap_err();
+        assert!(err.contains("unknown flag --batched"), "{err}");
     }
 }

@@ -4,31 +4,29 @@
 //! Cheng et al.'s first phase evaluates `I(Xᵢ; Xⱼ)` for **every** pair of
 //! variables. Algorithm 4 deals the `n(n−1)/2` pairs round-robin over the
 //! `P` cores; for each of its pairs a core computes the pairwise joint
-//! `P(x, y)` by scanning the potential table, derives both singleton
-//! marginals from the joint (the paper's optimization eliminating two of the
-//! three marginalization passes), and evaluates Equation 1.
+//! `P(x, y)`, derives both singleton marginals from the joint (the paper's
+//! optimization eliminating two of the three marginalization passes), and
+//! evaluates Equation 1.
 //!
 //! Two schedules are provided:
 //!
-//! * [`all_pairs_mi`] — pair-parallel (the paper's Algorithm 4): each core
-//!   handles a disjoint set of pairs and scans all partitions for each pair.
-//!   Decoding cost: 2 divide/mod per entry per pair ⇒ `O(E · n²)` total
-//!   work for `E` table entries.
+//! * [`all_pairs_mi`] — pair-parallel (the paper's Algorithm 4): the table
+//!   is decoded once into state columns ([`DecodedTable`]), then each core
+//!   gathers the joints of its pairs from two columns apiece. Decoding
+//!   costs `O(E · n)` divides once for `E` table entries; each pair then
+//!   costs `O(E)` multiply-adds, with no divides.
 //! * [`all_pairs_mi_fused`] — table-parallel extension: each core scans its
 //!   own partitions *once*, decodes the full state string per entry
 //!   (`O(n)`), and updates the joints of **all** pairs in registers/L1
-//!   (`O(n²)` updates per entry, but no repeated division). The fused
-//!   schedule additionally re-reads each table entry once instead of
-//!   `n(n−1)/2` times. Same asymptotics, different constants; both appear
-//!   in the ablation bench.
+//!   (`O(n²)` updates per entry). Same asymptotics, different constants;
+//!   both appear in the ablation bench.
 //!
-//! Both produce identical results (up to floating-point associativity,
-//! which the tests bound at 1e-12) and both return a symmetric
-//! [`MiMatrix`].
+//! Both produce identical joint counts, hence identical MI values, and both
+//! return a symmetric [`MiMatrix`].
 
+use crate::decoded::DecodedTable;
 use crate::entropy::mutual_information;
 use crate::error::CoreError;
-use crate::marginal::marginalize;
 use crate::potential::PotentialTable;
 use wfbn_concurrent::{pair_count, pairs_for_thread, run_on_threads};
 use wfbn_obs::{CoreRecorder, Counter, NoopRecorder, Recorder, Stage};
@@ -127,29 +125,51 @@ pub fn all_pairs_mi(table: &PotentialTable, threads: usize) -> MiMatrix {
     all_pairs_mi_recorded(table, threads, &NoopRecorder)
 }
 
-/// [`all_pairs_mi`] with telemetry: each thread attributes its wall time to
-/// [`Stage::Marginal`] and counts the pairs it evaluated
-/// ([`Counter::PairsScanned`]) and the table entries those per-pair scans
-/// touched ([`Counter::EntriesScanned`] — every pair rescans the whole
-/// table under this schedule, which is exactly the `O(E·n²)` constant the
-/// fused schedule removes).
+/// [`all_pairs_mi`] with telemetry: the one-off decode of the table and
+/// each thread's pair loop attribute their wall time to
+/// [`Stage::Marginal`] (the decode on core 0, before the pair threads
+/// start); each thread counts the pairs it evaluated
+/// ([`Counter::PairsScanned`]) and the table entries its gathers touched
+/// ([`Counter::EntriesScanned`] — every pair reads all `E` entries of its
+/// two columns, the `O(E·n²)` constant the fused schedule removes).
 pub fn all_pairs_mi_recorded<R: Recorder>(
     table: &PotentialTable,
     threads: usize,
     rec: &R,
 ) -> MiMatrix {
     assert!(threads > 0, "need at least one thread");
-    let n = table.codec().num_vars();
-    let entries = table.num_entries() as u64;
+    let view = {
+        let mut cr = rec.core(0);
+        let t0 = cr.now();
+        let view = DecodedTable::new(table);
+        cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
+        view
+    };
+    pairs_mi_recorded(&view, threads, rec)
+}
+
+/// [`all_pairs_mi`] over an already-decoded table: the form a caller that
+/// goes on scanning the same table (the structure learner's CI tests)
+/// uses, so the table is decoded only once.
+pub fn all_pairs_mi_decoded(view: &DecodedTable, threads: usize) -> MiMatrix {
+    assert!(threads > 0, "need at least one thread");
+    pairs_mi_recorded(view, threads, &NoopRecorder)
+}
+
+/// Algorithm 4's schedule on the columns: pairs dealt round-robin over
+/// `threads`, each joint gathered on its owning thread.
+fn pairs_mi_recorded<R: Recorder>(view: &DecodedTable, threads: usize, rec: &R) -> MiMatrix {
+    let n = view.num_vars();
+    let entries = view.num_entries() as u64;
     let mut matrix = MiMatrix::zeroed(n);
     let per_thread = run_on_threads(threads, |t| {
         let mut cr = rec.core(t);
         let t0 = cr.now();
         let mut local: Vec<(usize, usize, f64)> = Vec::new();
         for (i, j) in pairs_for_thread(n, t, threads) {
-            // Each pair's marginalization runs sequentially inside its
-            // owning thread (threads=1): the parallelism is across pairs.
-            let pair = marginalize(table, &[i, j], 1).expect("pair vars are valid by construction");
+            let pair = view
+                .marginal(&[i, j])
+                .expect("pair vars are valid by construction");
             local.push((i, j, mutual_information(&pair)));
         }
         cr.stage_ns(Stage::Marginal, cr.now().saturating_sub(t0));
@@ -293,8 +313,10 @@ mod tests {
         let a = all_pairs_mi(&table, 1);
         let b = all_pairs_mi(&table, 4);
         let c = all_pairs_mi_fused(&table, 3);
-        assert!(a.max_abs_diff(&b) < 1e-12);
-        assert!(a.max_abs_diff(&c) < 1e-12);
+        let d = all_pairs_mi_decoded(&DecodedTable::new(&table), 2);
+        assert_eq!(a, b);
+        assert_eq!(a, c);
+        assert_eq!(a, d);
     }
 
     #[test]

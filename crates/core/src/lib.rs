@@ -18,6 +18,7 @@
 //!        ▼
 //!  distributed potential table                     ([`potential`])
 //!        │  parallel marginalization               (Alg. 3, [`marginal`])
+//!        │  or, for repeated scans, decode once    ([`decoded`])
 //!        ▼
 //!  pairwise joints P(x,y) → P(x), P(y) → I(X;Y)    (Alg. 4, [`allpairs`])
 //! ```
@@ -47,6 +48,7 @@ pub mod batch;
 pub mod codec;
 pub mod construct;
 pub mod count_table;
+pub mod decoded;
 mod engine;
 pub mod entropy;
 pub mod error;
@@ -59,7 +61,7 @@ pub mod stats;
 pub mod stream;
 pub mod wide;
 
-pub use allpairs::{all_pairs_mi, all_pairs_mi_recorded, MiMatrix};
+pub use allpairs::{all_pairs_mi, all_pairs_mi_decoded, all_pairs_mi_recorded, MiMatrix};
 pub use codec::KeyCodec;
 pub use batch::Combiner;
 pub use construct::{
@@ -68,6 +70,7 @@ pub use construct::{
     waitfree_build_batched_recorded, waitfree_build_recorded, BuiltTable,
 };
 pub use count_table::CountTable;
+pub use decoded::DecodedTable;
 pub use error::CoreError;
 pub use marginal::{marginalize, marginalize_recorded, MarginalTable};
 pub use partition::KeyPartitioner;

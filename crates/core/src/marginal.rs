@@ -63,6 +63,25 @@ impl MarginalTable {
     /// Creates a zeroed marginal table (used by the accumulation loops).
     fn zeroed(codec: &KeyCodec, vars: &[usize], total: u64) -> Result<Self, CoreError> {
         codec.validate_vars(vars)?;
+        Self::sized(codec, vars, total)
+    }
+
+    /// Creates a zeroed marginal laid out in `order`, which may list the
+    /// variables in any order; the set is validated as its sorted form.
+    pub(crate) fn zeroed_in_order(
+        codec: &KeyCodec,
+        order: &[usize],
+        total: u64,
+    ) -> Result<Self, CoreError> {
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable();
+        codec.validate_vars(&sorted)?;
+        Self::sized(codec, order, total)
+    }
+
+    /// Allocates the zeroed cells over already-validated `vars`, refusing
+    /// state spaces above [`MAX_MARGINAL_CELLS`].
+    fn sized(codec: &KeyCodec, vars: &[usize], total: u64) -> Result<Self, CoreError> {
         let arities: Vec<u64> = vars.iter().map(|&v| codec.arity(v)).collect();
         let cells: u64 = arities.iter().product();
         if cells > MAX_MARGINAL_CELLS {
@@ -193,6 +212,11 @@ impl MarginalTable {
             counts,
             total: self.total,
         }
+    }
+
+    /// The cells, for accumulation loops outside this module.
+    pub(crate) fn counts_mut(&mut self) -> &mut [u64] {
+        &mut self.counts
     }
 
     /// Builds a marginal from raw parts (internal; callers go through

@@ -6,14 +6,15 @@
 //! marginalization consistency, and information-theoretic inequalities.
 
 use proptest::prelude::*;
-use wfbn_core::allpairs::{all_pairs_mi, all_pairs_mi_fused};
+use wfbn_core::allpairs::{all_pairs_mi, all_pairs_mi_decoded, all_pairs_mi_fused};
 use wfbn_core::construct::{sequential_build, waitfree_build, waitfree_build_with};
 use wfbn_core::entropy::{conditional_mutual_information, entropy, mutual_information};
-use wfbn_core::marginal::marginalize;
+use wfbn_core::marginal::{marginalize, MarginalTable};
 use wfbn_core::partition::KeyPartitioner;
 use wfbn_core::pipeline::pipelined_build;
+use wfbn_core::potential::PotentialTable;
 use wfbn_core::rebalance::rebalance;
-use wfbn_core::KeyCodec;
+use wfbn_core::{CoreError, CountTable, DecodedTable, KeyCodec};
 use wfbn_data::{Dataset, Schema};
 
 /// A random schema of 1–6 variables with arities 2–5.
@@ -42,8 +43,133 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// A random dataset of 1–200 rows over 1–6 variables with arities 2–5,
+/// where one variable may instead have arity 256–300, so its states need
+/// the full `u16` column width.
+fn wide_dataset_strategy() -> impl Strategy<Value = Dataset> {
+    (
+        prop::collection::vec(2u16..=5, 1..=6),
+        0usize..10,
+        256u16..=300,
+    )
+        .prop_flat_map(|(mut arities, wide, wide_arity)| {
+            if let Some(r) = arities.get_mut(wide) {
+                *r = wide_arity;
+            }
+            let schema = Schema::new(arities.clone()).unwrap();
+            prop::collection::vec(
+                prop::collection::vec(0u16..300, arities.len()).prop_map(move |mut row| {
+                    for (s, &r) in row.iter_mut().zip(&arities) {
+                        *s %= r;
+                    }
+                    row
+                }),
+                1..=200,
+            )
+            .prop_map(move |rows| {
+                let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
+                Dataset::from_rows(schema.clone(), &refs).unwrap()
+            })
+        })
+}
+
+/// The first `k` of the variables `0..n` ordered by their sort keys: a
+/// random ordered subset of 1..=n variables.
+fn random_order(n: usize, sort_keys: &[u64], k: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&v| (sort_keys[v], v));
+    order.truncate(k.clamp(1, n));
+    order
+}
+
+/// What the decoded view's gather must equal: a scan of the sorted set,
+/// arranged into `order`.
+fn scanned_in_order(table: &PotentialTable, order: &[usize]) -> Result<MarginalTable, CoreError> {
+    let mut sorted = order.to_vec();
+    sorted.sort_unstable();
+    marginalize(table, &sorted, 2).map(|m| m.reorder(order))
+}
+
+/// The same entries scattered over three partitions, ignoring key
+/// ownership.
+fn scattered(table: &PotentialTable) -> PotentialTable {
+    let mut parts = vec![CountTable::new(), CountTable::new(), CountTable::new()];
+    for (i, (k, c)) in table.iter().enumerate() {
+        parts[i % 3].increment(k, c);
+    }
+    PotentialTable::from_parts_unpartitioned(table.codec().clone(), parts)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn decoded_marginals_equal_scans_reordered(
+        data in wide_dataset_strategy(),
+        p in 1usize..=4,
+        sort_keys in prop::collection::vec(any::<u64>(), 6),
+        k in 1usize..=6,
+    ) {
+        let keyed = waitfree_build(&data, p).unwrap().table;
+        let order = random_order(data.num_vars(), &sort_keys, k);
+        let expected = scanned_in_order(&keyed, &order);
+        // Every placement of the same entries decodes to the same marginal.
+        let rebalanced = rebalance(keyed.clone());
+        for table in [&keyed, &rebalanced, &scattered(&keyed)] {
+            let got = DecodedTable::new(table).marginal(&order);
+            prop_assert_eq!(&got, &expected, "order {:?}", &order);
+        }
+    }
+
+    #[test]
+    fn decoded_marginals_of_single_entry_tables(
+        data in wide_dataset_strategy(),
+        reps in 1usize..=5,
+        sort_keys in prop::collection::vec(any::<u64>(), 6),
+        k in 1usize..=6,
+    ) {
+        // One distinct state string, observed `reps` times.
+        let row = data.rows().next().unwrap();
+        let rows = vec![row; reps];
+        let single = Dataset::from_rows(data.schema().clone(), &rows).unwrap();
+        let table = waitfree_build(&single, 2).unwrap().table;
+        prop_assert_eq!(table.num_entries(), 1);
+        let order = random_order(data.num_vars(), &sort_keys, k);
+        let got = DecodedTable::new(&table).marginal(&order).unwrap();
+        prop_assert_eq!(got.sum(), reps as u64);
+        prop_assert_eq!(got, scanned_in_order(&table, &order).unwrap());
+    }
+
+    #[test]
+    fn bad_variable_sets_fail_alike_on_both_paths(
+        data in dataset_strategy(),
+        bad in prop::collection::vec(0usize..8, 0..=4),
+    ) {
+        let table = sequential_build(&data).unwrap().table;
+        let view = DecodedTable::new(&table);
+        let mut sorted = bad.clone();
+        sorted.sort_unstable();
+        let scanned = marginalize(&table, &sorted, 1);
+        match view.marginal(&bad) {
+            Ok(m) => prop_assert_eq!(m, scanned.unwrap().reorder(&bad)),
+            Err(e) => prop_assert_eq!(Err(e), scanned),
+        }
+    }
+
+    #[test]
+    fn all_pairs_mi_is_bit_identical_to_per_pair_scans(data in dataset_strategy(), p in 1usize..=4) {
+        prop_assume!(data.num_vars() >= 2);
+        let table = waitfree_build(&data, p).unwrap().table;
+        let view = DecodedTable::new(&table);
+        for threads in [1usize, 2, 4] {
+            let mi = all_pairs_mi(&table, threads);
+            prop_assert_eq!(&mi, &all_pairs_mi_decoded(&view, threads));
+            for (i, j, v) in mi.iter_pairs() {
+                let reference = mutual_information(&marginalize(&table, &[i, j], 1).unwrap());
+                prop_assert_eq!(v.to_bits(), reference.to_bits(), "pair ({}, {})", i, j);
+            }
+        }
+    }
 
     #[test]
     fn codec_round_trips_every_row(data in dataset_strategy()) {
@@ -200,4 +326,20 @@ proptest! {
         let direct = mutual_information(&marginalize(&table, &[0, 1], 1).unwrap());
         prop_assert!((pairwise.get(0, 1) - direct).abs() < 1e-12);
     }
+}
+
+#[test]
+fn oversized_gathers_are_refused_like_scans() {
+    // Four arity-300 variables: 300^4 cells exceed the materialization cap.
+    let schema = Schema::new(vec![300; 4]).unwrap();
+    let data = Dataset::from_rows(schema, &[&[299, 0, 7, 150], &[1, 2, 3, 4]]).unwrap();
+    let table = sequential_build(&data).unwrap().table;
+    let refused = marginalize(&table, &[0, 1, 2, 3], 1).unwrap_err();
+    assert!(matches!(refused, CoreError::BadVariableSet { .. }));
+    let view = DecodedTable::new(&table);
+    assert_eq!(view.marginal(&[3, 1, 0, 2]).unwrap_err(), refused);
+    // Two of them fit, and the wide states survive the decode.
+    let m = view.marginal(&[3, 0]).unwrap();
+    assert_eq!(m.count(&[150, 299]), 1);
+    assert_eq!(m, scanned_in_order(&table, &[3, 0]).unwrap());
 }

@@ -16,10 +16,10 @@ use crate::cache::MarginalCache;
 use crate::ServeError;
 use std::collections::HashMap;
 use std::sync::Arc;
-use wfbn_concurrent::epoch::EpochReader;
+use wfbn_concurrent::epoch::{epoch_channel, EpochReader};
 use wfbn_core::entropy::mutual_information;
 use wfbn_core::marginal::marginalize_many_recorded;
-use wfbn_obs::{CoreRecorder, Counter, Recorder};
+use wfbn_obs::{CoreRecorder, Counter, Recorder, Stage};
 use wfbn_core::{MarginalTable, PotentialTable};
 
 /// One row of a conditional probability table: a parent-state assignment
@@ -50,6 +50,15 @@ impl<R: Recorder> QueryReader<R> {
             rec,
             core,
         }
+    }
+
+    /// A reader over one fixed table, recording on telemetry core `core`:
+    /// the table is published as epoch 1 and the lane closed, as if a
+    /// writer had published it and exited.
+    pub fn fixed(table: PotentialTable, rec: Arc<R>, core: usize) -> Self {
+        let (mut publisher, mut lanes) = epoch_channel(1);
+        publisher.publish(table);
+        QueryReader::new(lanes.remove(0), rec, core)
     }
 
     /// The telemetry core index this reader records on.
@@ -144,6 +153,7 @@ impl<R: Recorder> QueryReader<R> {
             .collect();
 
         let elapsed = core.now().saturating_sub(t0);
+        core.stage_ns(Stage::Query, elapsed);
         let per_query = elapsed / scopes.len() as u64;
         for _ in scopes {
             core.query_latency(per_query);
